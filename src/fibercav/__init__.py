@@ -94,9 +94,9 @@ from .pulling import (
     write_pull_trace,
 )
 from .quantity import Quantity, format_parenthesized, format_scientific
-from .records import RunRecord, load_run_record, make_run_record, write_run_record
+from .records import TOOL_VERSION, RunRecord, load_run_record, make_run_record, write_run_record
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "AbsorptionBand",

@@ -8,6 +8,10 @@ records for humans.  Every run writes a JSON report plus a tamper-evident
 run record embedding the effective configuration, so results can be
 reproduced from the record alone.
 
+Each verb is one entry of the table ``_VERBS``: its click parameters
+(whose defaults :func:`run_pipeline` also applies), its handler, its
+stdout summary and its ``report`` renderer.
+
 Exit statuses: 0 success, 2 invalid input, 3 fit/solver failure,
 4 mutually inconsistent measurements.  Failures are also emitted as
 structured JSON on stderr.
@@ -18,9 +22,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -49,19 +53,11 @@ from .pulling import classify_flame, fit_loss_growth, load_pull_trace, smooth_lo
 from .quantity import Quantity, format_parenthesized, format_scientific
 from .records import TOOL_VERSION, RunRecord, file_digest, load_run_record, make_run_record, write_run_record
 
-_SUBCOMMANDS = ("synth", "fit", "budget", "pull", "modes", "coop", "report")
-
 
 def _json_default(obj):
     if isinstance(obj, (np.integer, np.floating, np.bool_)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,6 @@ class PipelineOutcome:
     report_path: Path
     record_path: Path
     artifact_paths: tuple
-    exit_status: int = 0
 
     @property
     def results(self) -> dict:
@@ -90,23 +85,27 @@ def run_pipeline(
 
     Writes ``<stem>_report.json`` and ``<stem>_record.json`` into
     ``out_dir`` (stem defaults to the subcommand name; pass
-    ``args["stem"]`` to override, as batch mode does).  Raises the
-    module's error types on failure; their ``exit_code`` attribute is the
-    process exit status the CLI maps them to.
+    ``args["stem"]`` to override, as batch mode does).  Arguments that
+    are missing or ``None`` take the defaults of the verb's command-line
+    options.  Raises the module's error types on failure; their
+    ``exit_code`` attribute is the process exit status the CLI maps them
+    to.
     """
-    if subcommand not in _SUBCOMMANDS:
-        raise ValidationError(f"unknown subcommand {subcommand!r}; known: {_SUBCOMMANDS}")
+    verb = _VERBS.get(subcommand)
+    if verb is None:
+        raise ValidationError(f"unknown subcommand {subcommand!r}; known: {tuple(_VERBS)}")
     if config is None:
         config = ToolConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    handler = _HANDLERS[subcommand]
-    inputs, results, artifacts = handler(dict(args), config, out)
-    stem = args.get("stem") or subcommand
-    report_path = out / f"{stem}_report.json"
-    _write_json(report_path, results)
+    args = {**verb.defaults, **{k: v for k, v in args.items() if v is not None}}
+    inputs, results, artifacts = verb.handler(args, config, out)
+    report_path = out / f"{args['stem']}_report.json"
+    report_path.write_text(
+        json.dumps(results, indent=2, sort_keys=True, default=_json_default) + "\n"
+    )
     record = make_run_record(inputs, config.as_dict(), results, created_at=created_at)
-    record_path = out / f"{stem}_record.json"
+    record_path = out / f"{args['stem']}_record.json"
     write_run_record(record, record_path)
     return PipelineOutcome(
         record=record,
@@ -116,25 +115,63 @@ def run_pipeline(
     )
 
 
+@dataclass(frozen=True)
+class _Verb:
+    """One subcommand; the handler's docstring is its help text.
+
+    The defaults of the options in ``params`` are also the defaults
+    :func:`run_pipeline` fills in; ``None`` means "derive from the config
+    or another argument".  ``role`` is the ``inputs`` key the handler
+    writes, by which ``report`` knows the verb's records.
+    """
+
+    name: str
+    handler: Callable  # (args, config, out) -> (inputs, results, artifacts)
+    summary: Callable[[dict], str]  # results -> stdout line(s)
+    params: tuple
+    role: str | None = None
+    render: Callable[[dict], list] | None = None  # results -> report lines
+    batch_key: str | None = None  # the file argument ``--batch`` iterates over
+    library_defaults: dict = field(default_factory=dict)  # arguments with no option
+
+    @property
+    def defaults(self) -> dict:
+        options = {p.name: p.default for p in self.params if isinstance(p, click.Option)}
+        return {"stem": self.name, **options, **self.library_defaults}
+
+
 # ----------------------------------------------------------------------
-# Handlers (one per subcommand): args, config, out -> inputs, results, artifacts
+# Handlers and report renderers
+
+
+def _default_if_none(value, default):
+    return default if value is None else value
 
 
 def _quantity_arg(args: dict, key: str) -> Quantity:
-    return Quantity(float(args[key]), float(args.get(f"{key}_sigma") or 0.0))
+    return Quantity(float(args[key]), float(args[f"{key}_sigma"]))
+
+
+def _fmt_quantity(data: dict, scale: float = 1.0, unit: str = "") -> str:
+    return format_parenthesized(data["value"] * scale, data["sigma"] * scale, unit)
+
+
+def _fmt_finesse(data: dict) -> str:
+    return format_scientific(data["value"], data["sigma"])
 
 
 def _run_synth(args, config, out):
+    """Synthesize a cavity spectrum CSV from model parameters."""
     t1 = float(args["t1"])
     t2 = float(args["t2"])
-    alpha_int = float(args.get("alpha_int") or 0.0)
+    alpha_int = float(args["alpha_int"])
     length_mm = float(args["length_mm"])
-    group_index = float(args.get("group_index") or config.group_index)
-    span_fsr = float(args.get("span_fsr") or 3.0)
-    samples = int(args.get("samples") or 30001)
-    noise = float(args.get("noise") or 0.0)
-    center_nm = float(args.get("center_wavelength_nm") or 1389.0)
-    grating_mm = float(args.get("grating_length_mm") or 8.0)
+    group_index = float(_default_if_none(args["group_index"], config.group_index))
+    span_fsr = float(args["span_fsr"])
+    samples = int(args["samples"])
+    noise = float(args["noise"])
+    center_nm = float(args["center_wavelength_nm"])
+    grating_mm = float(args["grating_length_mm"])
     if not 0.0 < t1 < 1.0 or not 0.0 < t2 < 1.0:
         raise ValidationError("mirror transmittances must lie in (0, 1)")
     if span_fsr <= 0.0 or samples < 2:
@@ -163,8 +200,7 @@ def _run_synth(args, config, out):
                 trace.reflection + rng.normal(scale=noise, size=samples), 0.0, 1.0
             ),
         )
-    stem = args.get("stem") or "synth"
-    csv_path = out / f"{stem}_spectrum.csv"
+    csv_path = out / f"{args['stem']}_spectrum.csv"
     write_spectrum_csv(trace, csv_path)
 
     parameters = {
@@ -199,15 +235,27 @@ def _run_synth(args, config, out):
     return {"synthesis_parameters": parameters}, results, (csv_path,)
 
 
+def _render_synth(results: dict) -> list[str]:
+    return [
+        f"  synthesized spectrum: {results['spectrum_csv']}",
+        f"  FSR: {results['fsr_hz'] * 1e-9:.6g} GHz",
+        f"  total loss: {results['total_loss'] * 100.0:.4g}%",
+        f"  expected finesse: {results['expected_finesse']:.6g}",
+    ]
+
+
 def _run_fit(args, config, out):
+    """Fit resonances in a spectrum and report finesse and cavity length."""
     source = Path(args["spectrum"])
-    channel = args.get("channel") or "transmission"
-    polarity = args.get("polarity") or ("peak" if channel == "transmission" else "dip")
-    background = args.get("background") or (
-        config.background if channel == "transmission" else "linear+etalon"
+    channel = args["channel"]
+    transmission = channel == "transmission"
+    polarity = _default_if_none(args["polarity"], "peak" if transmission else "dip")
+    background = _default_if_none(
+        args["background"], config.background if transmission else "linear+etalon"
     )
-    group_index = float(args.get("group_index") or config.group_index)
-    trace = parse_spectrum_csv(source, normalize=bool(args.get("normalize")))
+    group_index = float(_default_if_none(args["group_index"], config.group_index))
+    normalized = bool(args["normalize"])
+    trace = parse_spectrum_csv(source, normalize=normalized)
     report = analyze_spectrum(
         trace,
         channel=channel,
@@ -217,17 +265,15 @@ def _run_fit(args, config, out):
         group_index=group_index,
         window_fwhm_multiple=config.window_fwhm_multiple,
         max_iterations=config.max_iterations,
-        seed=config.seed,
     )
     results = report.as_dict()
     results["source"] = source.name
-    results["normalized"] = bool(args.get("normalize"))
+    results["normalized"] = normalized
     artifacts = []
-    if args.get("emit_plot_data"):
-        stem = args.get("stem") or "fit"
-        overlay_path = out / f"{stem}_overlay.csv"
+    if args["emit_plot_data"]:
+        overlay_path = out / f"{args['stem']}_overlay.csv"
         lines = ["freq_offset_hz,measured,fitted,peak"]
-        values = trace.transmission if channel == "transmission" else trace.reflection
+        values = trace.transmission if transmission else trace.reflection
         for index, peak in enumerate(report.peaks.peaks):
             lo, hi = peak.window_hz
             mask = (trace.frequency_hz >= lo) & (trace.frequency_hz <= hi)
@@ -245,9 +291,20 @@ def _run_fit(args, config, out):
     return inputs, results, tuple(artifacts)
 
 
+def _render_fit(results: dict) -> list[str]:
+    return [
+        f"  peaks fitted: {len(results['peaks'])}",
+        f"  FSR: {_fmt_quantity(results['fsr_hz'], 1e-9, ' GHz')}",
+        f"  FWHM: {_fmt_quantity(results['fwhm_hz'], 1e-6, ' MHz')}",
+        f"  finesse: {_fmt_finesse(results['finesse'])}",
+        f"  cavity length: {_fmt_quantity(results['length_mm'], 1.0, ' mm')}",
+    ]
+
+
 def _run_budget(args, config, out):
+    """Decompose the round-trip loss into {T1, T2, alpha_int}."""
     inputs: dict = {}
-    if args.get("from_fit"):
+    if args["from_fit"] is not None:
         fit_path = Path(args["from_fit"])
         try:
             fit_payload = json.loads(fit_path.read_text())
@@ -256,13 +313,13 @@ def _run_budget(args, config, out):
             raise ValidationError(f"cannot read finesse from {fit_path}: {exc}") from exc
         inputs["fit_report"] = {"path": fit_path.name, "sha256": file_digest(fit_path)}
     else:
-        if args.get("finesse") is None:
+        if args["finesse"] is None:
             raise ValidationError("provide --finesse or --from-fit")
         finesse = _quantity_arg(args, "finesse")
     r1 = _quantity_arg(args, "r1")
     r2 = _quantity_arg(args, "r2")
-    regime_1 = args.get("regime1") or config.regime_1
-    regime_2 = args.get("regime2") or config.regime_2
+    regime_1 = _default_if_none(args["regime1"], config.regime_1)
+    regime_2 = _default_if_none(args["regime2"], config.regime_2)
     result = compute_budget(finesse, r1, r2, regime_1=regime_1, regime_2=regime_2)
     parameters = {
         "finesse": finesse.as_dict(),
@@ -271,11 +328,41 @@ def _run_budget(args, config, out):
         "regime_1": regime_1,
         "regime_2": regime_2,
     }
-    inputs.setdefault("measurement_parameters", parameters)
+    inputs["measurement_parameters"] = parameters
     return inputs, result.as_dict(), ()
 
 
+_BUDGET_PARTS = (
+    ("alpha_tot", "alpha_tot", "round-trip loss"),
+    ("t1", "T1", "mirror-1 transmittance"),
+    ("t2", "T2", "mirror-2 transmittance"),
+    ("alpha_int", "alpha_int", "intrinsic loss"),
+)
+
+
+def _summarize_budget(results: dict) -> str:
+    parts = [
+        f"{label} {_fmt_quantity(results[key], 100.0, '%')}"
+        for key, label, _ in _BUDGET_PARTS
+    ]
+    notes = [f"note: {note}" for note in results.get("diagnostics", ())]
+    return "\n".join(["; ".join(parts), *notes])
+
+
+def _render_budget(results: dict) -> list[str]:
+    lines = [
+        f"  {label}: {_fmt_quantity(results[key], 100.0, '%')}"
+        for key, _, label in _BUDGET_PARTS
+    ]
+    lines.append(f"  finesse: {_fmt_finesse(results['finesse_tot'])}")
+    if results.get("finesse_int"):
+        lines.append(f"  intrinsic finesse: {_fmt_finesse(results['finesse_int'])}")
+    lines.extend(f"  note: {note}" for note in results.get("diagnostics", ()))
+    return lines
+
+
 def _run_pull(args, config, out):
+    """Classify a pulling-loss trace as H2-like or D2-like."""
     source = Path(args["trace"])
     trace = load_pull_trace(source)
     classification = classify_flame(
@@ -298,13 +385,11 @@ def _run_pull(args, config, out):
             bands, trace.probe_wavelength_nm, threshold=config.transparency_threshold
         )
         results["probe_transparency"] = check.as_dict()
-    growth = args.get("growth")
-    if growth:
-        results["growth_fit"] = fit_loss_growth(trace, model=growth).as_dict()
+    if args["growth"] is not None:
+        results["growth_fit"] = fit_loss_growth(trace, model=args["growth"]).as_dict()
     artifacts = []
-    if args.get("emit_plot_data"):
-        stem = args.get("stem") or "pull"
-        smooth_path = out / f"{stem}_smoothed.csv"
+    if args["emit_plot_data"]:
+        smooth_path = out / f"{args['stem']}_smoothed.csv"
         smoothed = smooth_loss(trace.loss_primary, smoothing_window(len(trace)))
         lines = ["time_s,loss_raw,loss_smoothed"]
         for t, raw, smooth in zip(trace.time_s, trace.loss_primary, smoothed):
@@ -319,17 +404,32 @@ def _run_pull(args, config, out):
     return inputs, results, tuple(artifacts)
 
 
+def _render_pull(results: dict) -> list[str]:
+    cls = results["classification"]
+    lines = [
+        f"  verdict: {cls['label']}",
+        f"  final smoothed loss: {cls['final_loss'] * 100.0:.3g}%",
+        f"  monotone growth score: {cls['monotone_growth_score']:.3g}",
+        f"  reference channel ok: {cls['reference_ok']}",
+    ]
+    if results.get("probe_transparency") is not None:
+        clear = results["probe_transparency"]["clear"]
+        lines.append(f"  probe wavelength clear of impurity bands: {clear}")
+    return lines
+
+
 def _run_modes(args, config, out):
-    wavelength_nm = float(args.get("wavelength_nm") or 1389.0)
-    if args.get("sellmeier"):
+    """Solve the fundamental guided mode and its effective area."""
+    wavelength_nm = float(args["wavelength_nm"])
+    if args["sellmeier"]:
         core_index = silica_sellmeier_index(wavelength_nm)
     else:
-        core_index = float(args.get("core_index") or config.core_index)
+        core_index = float(_default_if_none(args["core_index"], config.core_index))
     geometry = FiberGeometry(
         diameter_nm=float(args["diameter_nm"]),
         wavelength_nm=wavelength_nm,
         core_index=core_index,
-        cladding_index=float(args.get("cladding_index") or config.cladding_index),
+        cladding_index=float(_default_if_none(args["cladding_index"], config.cladding_index)),
     )
     mode = solve_guided_mode(geometry)
     results = mode.as_dict()
@@ -344,24 +444,38 @@ def _run_modes(args, config, out):
     return inputs, results, ()
 
 
+def _render_modes(results: dict) -> list[str]:
+    geometry = results["geometry"]
+    return [
+        f"  geometry: d = {geometry['diameter_nm']:g} nm at {geometry['wavelength_nm']:g} nm",
+        f"  V-number: {results['v_number']:.4g} (single-mode: {results['single_mode']})",
+        f"  n_eff: {results['n_eff']:.6f}",
+        f"  A_eff: {results['a_eff_um2']:.4g} um^2",
+        f"  surface intensity ratio: {results['surface_intensity_ratio']:.3g}",
+    ]
+
+
 def _run_coop(args, config, out):
-    if args.get("reference"):
+    """Project atom-cavity cooperativity from finesse and mode area."""
+    if args["reference"]:
         scenario = reference_scenario()
-        if args.get("finesse") is not None:
+        if args["finesse"] is not None:
             scenario = scenario.with_finesse(_quantity_arg(args, "finesse"))
     else:
-        if args.get("finesse") is None:
+        if args["finesse"] is None:
             raise ValidationError("provide --finesse or --reference")
         scenario = CooperativityScenario(
-            sigma0_over_aeff=float(args.get("sigma0_over_aeff") or config.sigma0_over_aeff),
+            sigma0_over_aeff=float(
+                _default_if_none(args["sigma0_over_aeff"], config.sigma0_over_aeff)
+            ),
             finesse=_quantity_arg(args, "finesse"),
-            prefactor=float(args.get("prefactor") or config.prefactor),
-            label=str(args.get("label") or ""),
+            prefactor=float(_default_if_none(args["prefactor"], config.prefactor)),
+            label=str(args["label"]),
         )
     value = cooperativity(scenario)
     results = scenario.as_dict()
     results["cooperativity"] = value.as_dict()
-    if args.get("target") is not None:
+    if args["target"] is not None:
         target = float(args["target"])
         results["required_finesse"] = {
             "target_cooperativity": target,
@@ -371,7 +485,23 @@ def _run_coop(args, config, out):
     return inputs, results, ()
 
 
+def _render_coop(results: dict) -> list[str]:
+    lines = [
+        f"  convention K: {results['K']:.6g}",
+        f"  sigma0/A_eff: {results['sigma0_over_aeff']:.6g}",
+        f"  finesse: {_fmt_quantity(results['finesse'])}",
+        f"  cooperativity: {_fmt_quantity(results['cooperativity'])}",
+    ]
+    if "required_finesse" in results:
+        req = results["required_finesse"]
+        lines.append(
+            f"  finesse for C = {req['target_cooperativity']:g}: {req['finesse']:.4g}"
+        )
+    return lines
+
+
 def _run_report(args, config, out):
+    """Render stored run records as a human-readable summary."""
     paths = [Path(p) for p in args["records"]]
     if not paths:
         raise ValidationError("report needs at least one run record")
@@ -385,172 +515,221 @@ def _run_report(args, config, out):
         lines.extend(_render_record(path.name, record))
         lines.append("")
     text = "\n".join(lines).rstrip("\n") + "\n"
-    stem = args.get("stem") or "report"
-    summary_path = out / f"{stem}_summary.txt"
+    summary_path = out / f"{args['stem']}_summary.txt"
     summary_path.write_text(text)
     results = {"summary": text, "record_ids": record_ids, "summary_txt": summary_path.name}
     return inputs, results, (summary_path,)
 
 
-_HANDLERS = {
-    "synth": _run_synth,
-    "fit": _run_fit,
-    "budget": _run_budget,
-    "pull": _run_pull,
-    "modes": _run_modes,
-    "coop": _run_coop,
-    "report": _run_report,
-}
-
-
-# ----------------------------------------------------------------------
-# Human-readable rendering
-
-
-def _fmt_quantity(data: dict, scale: float = 1.0, unit: str = "") -> str:
-    return format_parenthesized(data["value"] * scale, data["sigma"] * scale, unit)
-
-
 def _render_record(name: str, record: RunRecord) -> list[str]:
-    results = record.results
     lines = [f"== {name} (record {record.record_id[:12]}) =="]
-    if "finesse" in results and "fsr_hz" in results:  # fit report
-        lines.append(f"  peaks fitted: {len(results['peaks'])}")
-        lines.append(f"  FSR: {_fmt_quantity(results['fsr_hz'], 1e-9, ' GHz')}")
-        lines.append(f"  FWHM: {_fmt_quantity(results['fwhm_hz'], 1e-6, ' MHz')}")
-        fin = results["finesse"]
-        lines.append(f"  finesse: {format_scientific(fin['value'], fin['sigma'])}")
-        lines.append(f"  cavity length: {_fmt_quantity(results['length_mm'], 1.0, ' mm')}")
-    elif "alpha_tot" in results:  # budget report
-        for key, label in (
-            ("alpha_tot", "round-trip loss"),
-            ("t1", "mirror-1 transmittance"),
-            ("t2", "mirror-2 transmittance"),
-            ("alpha_int", "intrinsic loss"),
-        ):
-            lines.append(f"  {label}: {_fmt_quantity(results[key], 100.0, '%')}")
-        fin = results["finesse_tot"]
-        lines.append(f"  finesse: {format_scientific(fin['value'], fin['sigma'])}")
-        if results.get("finesse_int"):
-            fin = results["finesse_int"]
-            lines.append(f"  intrinsic finesse: {format_scientific(fin['value'], fin['sigma'])}")
-        for note in results.get("diagnostics", ()):
-            lines.append(f"  note: {note}")
-    elif "cooperativity" in results:
-        lines.append(f"  convention K: {results['K']:.6g}")
-        lines.append(f"  sigma0/A_eff: {results['sigma0_over_aeff']:.6g}")
-        lines.append(f"  finesse: {_fmt_quantity(results['finesse'])}")
-        lines.append(f"  cooperativity: {_fmt_quantity(results['cooperativity'])}")
-        if "required_finesse" in results:
-            req = results["required_finesse"]
-            lines.append(
-                f"  finesse for C = {req['target_cooperativity']:g}: {req['finesse']:.4g}"
-            )
-    elif "classification" in results:
-        cls = results["classification"]
-        lines.append(f"  verdict: {cls['label']}")
-        lines.append(f"  final smoothed loss: {cls['final_loss'] * 100.0:.3g}%")
-        lines.append(f"  monotone growth score: {cls['monotone_growth_score']:.3g}")
-        lines.append(f"  reference channel ok: {cls['reference_ok']}")
-        if results.get("probe_transparency") is not None:
-            clear = results["probe_transparency"]["clear"]
-            lines.append(f"  probe wavelength clear of impurity bands: {clear}")
-    elif "n_eff" in results:
-        geometry = results["geometry"]
-        lines.append(
-            f"  geometry: d = {geometry['diameter_nm']:g} nm at {geometry['wavelength_nm']:g} nm"
-        )
-        lines.append(f"  V-number: {results['v_number']:.4g} (single-mode: {results['single_mode']})")
-        lines.append(f"  n_eff: {results['n_eff']:.6f}")
-        lines.append(f"  A_eff: {results['a_eff_um2']:.4g} um^2")
-        lines.append(f"  surface intensity ratio: {results['surface_intensity_ratio']:.3g}")
-    elif "expected_finesse" in results:
-        lines.append(f"  synthesized spectrum: {results['spectrum_csv']}")
-        lines.append(f"  FSR: {results['fsr_hz'] * 1e-9:.6g} GHz")
-        lines.append(f"  total loss: {results['total_loss'] * 100.0:.4g}%")
-        lines.append(f"  expected finesse: {results['expected_finesse']:.6g}")
-    else:
-        lines.append("  (unrecognized result shape; raw keys: " + ", ".join(sorted(results)) + ")")
-    return lines
+    for verb in _VERBS.values():
+        if verb.render is not None and verb.role in record.inputs:
+            return lines + verb.render(record.results)
+    raw_keys = ", ".join(sorted(record.results))
+    return lines + ["  (unrecognized result shape; raw keys: " + raw_keys + ")"]
+
+
+_VERBS = {verb.name: verb for verb in (
+    _Verb(
+        "synth",
+        _run_synth,
+        lambda r: (f"wrote {r['spectrum_csv']} (FSR {r['fsr_hz'] * 1e-9:.4g} GHz, "
+                   f"expected finesse {r['expected_finesse']:.5g})"),
+        (
+            click.Option(["--t1"], type=float, required=True,
+                         help="Mirror-1 power transmittance (fraction)."),
+            click.Option(["--t2"], type=float, required=True,
+                         help="Mirror-2 power transmittance (fraction)."),
+            click.Option(["--alpha-int"], type=float, default=0.0,
+                         help="Intrinsic round-trip loss (fraction)."),
+            click.Option(["--length-mm"], type=float, required=True, help="Cavity length [mm]."),
+            click.Option(["--group-index"], type=float, default=None,
+                         help="Group index (default from config)."),
+            click.Option(["--span-fsr"], type=float, default=3.0, help="Grid span in units of the FSR."),
+            click.Option(["--samples"], type=int, default=30001, help="Number of frequency samples."),
+            click.Option(["--noise"], type=float, default=0.0, help="Additive Gaussian noise level."),
+        ),
+        role="synthesis_parameters",
+        render=_render_synth,
+        library_defaults={"center_wavelength_nm": 1389.0, "grating_length_mm": 8.0},
+    ),
+    _Verb(
+        "fit",
+        _run_fit,
+        lambda r: (f"{len(r['peaks'])} peaks; finesse {_fmt_finesse(r['finesse'])}; "
+                   f"length {_fmt_quantity(r['length_mm'], 1.0, ' mm')}"),
+        (
+            click.Argument(["spectrum"], type=click.Path(exists=True, dir_okay=False), required=False),
+            click.Option(["--batch", "batch_dir"], type=click.Path(exists=True, file_okay=False),
+                         default=None, help="Fit every CSV in a directory, in name order."),
+            click.Option(["--channel"], type=click.Choice(["transmission", "reflection"]),
+                         default="transmission"),
+            click.Option(["--polarity"], type=click.Choice(["peak", "dip"]), default=None,
+                         help="Default: peak for transmission, dip for reflection."),
+            click.Option(["--background"], type=click.Choice(["constant", "linear", "linear+etalon"]),
+                         default=None, help="Background model (default from config/channel)."),
+            click.Option(["--normalize"], is_flag=True, help="Rescale raw detector units onto [0, 1]."),
+            click.Option(["--group-index"], type=float, default=None,
+                         help="Group index for the length estimate."),
+            click.Option(["--emit-plot-data"], is_flag=True, help="Write a data-vs-model overlay CSV."),
+        ),
+        role="spectrum",
+        render=_render_fit,
+        batch_key="spectrum",
+    ),
+    _Verb(
+        "budget",
+        _run_budget,
+        _summarize_budget,
+        (
+            click.Option(["--finesse"], type=float, default=None, help="Measured finesse."),
+            click.Option(["--finesse-sigma"], type=float, default=0.0),
+            click.Option(["--from-fit", "from_fit"], type=click.Path(exists=True, dir_okay=False),
+                         default=None, help="Read the finesse from a fit report JSON."),
+            click.Option(["--r1"], type=float, required=True, help="On-resonance reflectance, side 1."),
+            click.Option(["--r1-sigma"], type=float, default=0.0),
+            click.Option(["--r2"], type=float, required=True, help="On-resonance reflectance, side 2."),
+            click.Option(["--r2-sigma"], type=float, default=0.0),
+            click.Option(["--regime1"], type=click.Choice(["under", "over"]), default=None,
+                         help="Coupling branch of mirror 1 (default from config)."),
+            click.Option(["--regime2"], type=click.Choice(["under", "over"]), default=None),
+        ),
+        role="measurement_parameters",
+        render=_render_budget,
+    ),
+    _Verb(
+        "pull",
+        _run_pull,
+        lambda r: (f"{r['classification']['label']} "
+                   f"(final loss {r['classification']['final_loss'] * 100.0:.3g}%, "
+                   f"growth score {r['classification']['monotone_growth_score']:.2f}, "
+                   f"reference ok: {r['classification']['reference_ok']})"),
+        (
+            click.Argument(["trace"], type=click.Path(exists=True, dir_okay=False), required=False),
+            click.Option(["--batch", "batch_dir"], type=click.Path(exists=True, file_okay=False),
+                         default=None, help="Classify every CSV in a directory, in name order."),
+            click.Option(["--growth"], type=click.Choice(["linear", "exponential-onset"]),
+                         default=None, help="Also fit a loss-growth model."),
+            click.Option(["--emit-plot-data"], is_flag=True, help="Write the smoothed loss curve CSV."),
+        ),
+        role="trace",
+        render=_render_pull,
+        batch_key="trace",
+    ),
+    _Verb(
+        "modes",
+        _run_modes,
+        lambda r: (f"V = {r['v_number']:.4g}; n_eff = {r['n_eff']:.6f}; "
+                   f"A_eff = {r['a_eff_um2']:.4g} um^2; "
+                   f"surface ratio = {r['surface_intensity_ratio']:.3g}"),
+        (
+            click.Option(["--diameter-nm"], type=float, required=True, help="Fiber diameter [nm]."),
+            click.Option(["--wavelength-nm"], type=float, default=1389.0,
+                         help="Vacuum wavelength [nm]."),
+            click.Option(["--core-index"], type=float, default=None,
+                         help="Core index (default from config)."),
+            click.Option(["--sellmeier"], is_flag=True,
+                         help="Derive the core index from the silica Sellmeier fit instead."),
+            click.Option(["--cladding-index"], type=float, default=None,
+                         help="Cladding index (default 1.0)."),
+        ),
+        role="geometry_parameters",
+        render=_render_modes,
+    ),
+    _Verb(
+        "coop",
+        _run_coop,
+        lambda r: f"C = {_fmt_quantity(r['cooperativity'])} (K = {r['K']:.6g})",
+        (
+            click.Option(["--finesse"], type=float, default=None, help="Cavity finesse."),
+            click.Option(["--finesse-sigma"], type=float, default=0.0),
+            click.Option(["--sigma0-over-aeff"], type=float, default=None,
+                         help="Cross-section to mode-area ratio (default from config)."),
+            click.Option(["--prefactor"], type=float, default=None,
+                         help="Convention constant K (default from config)."),
+            click.Option(["--reference"], is_flag=True, help="Use the shipped reference scenario."),
+            click.Option(["--target"], type=float, default=None,
+                         help="Also report the finesse required for this cooperativity."),
+            click.Option(["--label"], default="", help="Scenario label carried into the report."),
+        ),
+        role="cooperativity_parameters",
+        render=_render_coop,
+    ),
+    _Verb(
+        "report",
+        _run_report,
+        lambda r: r["summary"].removesuffix("\n"),
+        (click.Argument(["records"], nargs=-1, type=click.Path(exists=True, dir_okay=False)),),
+    ),
+)}
 
 
 # ----------------------------------------------------------------------
 # Click wiring
 
 
-def _load_cli_config(config_path, seed):
-    config = load_config(config_path)
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    return config
+def _error_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, default=_json_default)
 
 
 def _fail(exc: FibercavError):
-    click.echo(json.dumps(exc.as_dict(), sort_keys=True, default=_json_default), err=True)
+    click.echo(_error_json(exc.as_dict()), err=True)
     sys.exit(exc.exit_code)
 
 
-def _execute(subcommand, args, config_path, seed, out_dir):
-    try:
-        config = _load_cli_config(config_path, seed)
-        return run_pipeline(subcommand, args, config, out_dir)
-    except FibercavError as exc:
-        _fail(exc)
+def _run_batch(verb: _Verb, directory, args: dict, config: ToolConfig, out_dir) -> None:
+    """Run ``verb`` on every CSV in ``directory`` in name order.
 
-
-def _execute_batch(subcommand, key, directory, base_args, config_path, seed, out_dir):
-    try:
-        config = _load_cli_config(config_path, seed)
-    except FibercavError as exc:
-        _fail(exc)
-    files = sorted(
-        path
-        for path in Path(directory).glob("*.csv")
-        if not path.name.endswith(".meta.json")
-    )
+    A failing file is reported on stderr as JSON naming the file, and the
+    rest still run; the exit status is the worst one seen.
+    """
+    files = sorted(Path(directory).glob("*.csv"))
     if not files:
         _fail(ValidationError(f"no CSV files found in {directory}"))
-
-    def one(path: Path):
-        args = dict(base_args)
-        args[key] = str(path)
-        args["stem"] = f"{path.stem}_{subcommand}"
-        return run_pipeline(subcommand, args, config, out_dir)
-
-    outcomes: list[tuple[Path, PipelineOutcome | FibercavError]] = []
-    with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-        futures = [(path, pool.submit(one, path)) for path in files]
-        for path, future in futures:
-            try:
-                outcomes.append((path, future.result()))
-            except FibercavError as exc:
-                outcomes.append((path, exc))
     status = 0
-    for path, outcome in outcomes:
-        if isinstance(outcome, FibercavError):
-            click.echo(
-                json.dumps(
-                    {"file": path.name, **outcome.as_dict()},
-                    sort_keys=True,
-                    default=_json_default,
-                ),
-                err=True,
-            )
-            status = max(status, outcome.exit_code)
+    for path in files:
+        file_args = {**args, verb.batch_key: str(path), "stem": f"{path.stem}_{verb.name}"}
+        try:
+            outcome = run_pipeline(verb.name, file_args, config, out_dir)
+        except FibercavError as exc:
+            click.echo(_error_json({"file": path.name, **exc.as_dict()}), err=True)
+            status = max(status, exc.exit_code)
         else:
             click.echo(f"{path.name}: report {outcome.report_path}")
     if status:
         sys.exit(status)
-    return outcomes
 
 
-def _common_options(f):
-    f = click.option("--config", "config_path", type=click.Path(exists=False), default=None,
-                     help="INI config file (or set FIBERCAV_CONFIG).")(f)
-    f = click.option("--seed", type=int, default=None, help="Override the configured RNG seed.")(f)
-    f = click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".",
-                     help="Directory for reports and records.")(f)
-    return f
+def _command(verb: _Verb) -> click.Command:
+    def callback(config_path, seed, out_dir, batch_dir=None, **args):
+        if batch_dir is None and verb.batch_key is not None and args[verb.batch_key] is None:
+            _fail(ValidationError(f"provide a {verb.batch_key} file or --batch DIR"))
+        try:
+            config = load_config(config_path)
+            if seed is not None:
+                config = dataclasses.replace(config, seed=seed)
+        except FibercavError as exc:
+            _fail(exc)
+        if batch_dir is not None:
+            _run_batch(verb, batch_dir, args, config, out_dir)
+            return
+        try:
+            outcome = run_pipeline(verb.name, args, config, out_dir)
+        except FibercavError as exc:
+            _fail(exc)
+        click.echo(verb.summary(outcome.results))
+
+    params = [
+        click.Option(["--out", "out_dir"], type=click.Path(file_okay=False), default=".",
+                     help="Directory for reports and records."),
+        click.Option(["--seed"], type=int, default=None, help="Override the configured RNG seed."),
+        click.Option(["--config", "config_path"], type=click.Path(exists=False), default=None,
+                     help="INI config file (or set FIBERCAV_CONFIG)."),
+        *verb.params,
+        click.Option(["--stem"], default=None, help=f"Output file stem (default: {verb.name})."),
+    ]
+    return click.Command(verb.name, params=params, callback=callback, help=verb.handler.__doc__)
 
 
 @click.group()
@@ -559,206 +738,8 @@ def main():
     """Fiber-cavity spectra, loss budgets, pull traces, and guided modes."""
 
 
-@main.command()
-@_common_options
-@click.option("--t1", type=float, required=True, help="Mirror-1 power transmittance (fraction).")
-@click.option("--t2", type=float, required=True, help="Mirror-2 power transmittance (fraction).")
-@click.option("--alpha-int", type=float, default=0.0, help="Intrinsic round-trip loss (fraction).")
-@click.option("--length-mm", type=float, required=True, help="Cavity length [mm].")
-@click.option("--group-index", type=float, default=None, help="Group index (default from config).")
-@click.option("--span-fsr", type=float, default=3.0, help="Grid span in units of the FSR.")
-@click.option("--samples", type=int, default=30001, help="Number of frequency samples.")
-@click.option("--noise", type=float, default=0.0, help="Additive Gaussian noise level.")
-@click.option("--stem", default=None, help="Output file stem (default: synth).")
-def synth(config_path, seed, out_dir, t1, t2, alpha_int, length_mm, group_index,
-          span_fsr, samples, noise, stem):
-    """Synthesize a cavity spectrum CSV from model parameters."""
-    outcome = _execute(
-        "synth",
-        {
-            "t1": t1, "t2": t2, "alpha_int": alpha_int, "length_mm": length_mm,
-            "group_index": group_index, "span_fsr": span_fsr, "samples": samples,
-            "noise": noise, "stem": stem,
-        },
-        config_path, seed, out_dir,
-    )
-    results = outcome.results
-    click.echo(
-        f"wrote {results['spectrum_csv']} (FSR {results['fsr_hz'] * 1e-9:.4g} GHz, "
-        f"expected finesse {results['expected_finesse']:.5g})"
-    )
-
-
-@main.command()
-@_common_options
-@click.argument("spectrum", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option("--batch", "batch_dir", type=click.Path(exists=True, file_okay=False), default=None,
-              help="Fit every CSV in a directory (concurrently).")
-@click.option("--channel", type=click.Choice(["transmission", "reflection"]),
-              default="transmission")
-@click.option("--polarity", type=click.Choice(["peak", "dip"]), default=None,
-              help="Default: peak for transmission, dip for reflection.")
-@click.option("--background", type=click.Choice(["constant", "linear", "linear+etalon"]),
-              default=None, help="Background model (default from config/channel).")
-@click.option("--normalize", is_flag=True, help="Rescale raw detector units onto [0, 1].")
-@click.option("--group-index", type=float, default=None, help="Group index for the length estimate.")
-@click.option("--emit-plot-data", is_flag=True, help="Write a data-vs-model overlay CSV.")
-@click.option("--stem", default=None, help="Output file stem (default: fit).")
-def fit(config_path, seed, out_dir, spectrum, batch_dir, channel, polarity, background,
-        normalize, group_index, emit_plot_data, stem):
-    """Fit resonances in a spectrum and report finesse and cavity length."""
-    base_args = {
-        "channel": channel, "polarity": polarity, "background": background,
-        "normalize": normalize, "group_index": group_index,
-        "emit_plot_data": emit_plot_data,
-    }
-    if batch_dir:
-        _execute_batch("fit", "spectrum", batch_dir, base_args, config_path, seed, out_dir)
-        return
-    if not spectrum:
-        _fail(ValidationError("provide a spectrum file or --batch DIR"))
-    outcome = _execute("fit", {**base_args, "spectrum": spectrum, "stem": stem},
-                       config_path, seed, out_dir)
-    results = outcome.results
-    finesse = results["finesse"]
-    click.echo(
-        f"{len(results['peaks'])} peaks; finesse "
-        f"{format_scientific(finesse['value'], finesse['sigma'])}; "
-        f"length {_fmt_quantity(results['length_mm'], 1.0, ' mm')}"
-    )
-
-
-@main.command(name="budget")
-@_common_options
-@click.option("--finesse", type=float, default=None, help="Measured finesse.")
-@click.option("--finesse-sigma", type=float, default=0.0)
-@click.option("--from-fit", "from_fit", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Read the finesse from a fit report JSON.")
-@click.option("--r1", type=float, required=True, help="On-resonance reflectance, side 1.")
-@click.option("--r1-sigma", type=float, default=0.0)
-@click.option("--r2", type=float, required=True, help="On-resonance reflectance, side 2.")
-@click.option("--r2-sigma", type=float, default=0.0)
-@click.option("--regime1", type=click.Choice(["under", "over"]), default=None,
-              help="Coupling branch of mirror 1 (default from config).")
-@click.option("--regime2", type=click.Choice(["under", "over"]), default=None)
-@click.option("--stem", default=None, help="Output file stem (default: budget).")
-def budget_command(config_path, seed, out_dir, finesse, finesse_sigma, from_fit,
-                   r1, r1_sigma, r2, r2_sigma, regime1, regime2, stem):
-    """Decompose the round-trip loss into {T1, T2, alpha_int}."""
-    outcome = _execute(
-        "budget",
-        {
-            "finesse": finesse, "finesse_sigma": finesse_sigma, "from_fit": from_fit,
-            "r1": r1, "r1_sigma": r1_sigma, "r2": r2, "r2_sigma": r2_sigma,
-            "regime1": regime1, "regime2": regime2, "stem": stem,
-        },
-        config_path, seed, out_dir,
-    )
-    results = outcome.results
-    parts = [
-        f"{label} {_fmt_quantity(results[key], 100.0, '%')}"
-        for key, label in (("alpha_tot", "alpha_tot"), ("t1", "T1"), ("t2", "T2"),
-                           ("alpha_int", "alpha_int"))
-    ]
-    click.echo("; ".join(parts))
-    for note in results.get("diagnostics", ()):
-        click.echo(f"note: {note}")
-
-
-@main.command()
-@_common_options
-@click.argument("trace", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option("--batch", "batch_dir", type=click.Path(exists=True, file_okay=False), default=None,
-              help="Classify every CSV in a directory (concurrently).")
-@click.option("--growth", type=click.Choice(["linear", "exponential-onset"]), default=None,
-              help="Also fit a loss-growth model.")
-@click.option("--emit-plot-data", is_flag=True, help="Write the smoothed loss curve CSV.")
-@click.option("--stem", default=None, help="Output file stem (default: pull).")
-def pull(config_path, seed, out_dir, trace, batch_dir, growth, emit_plot_data, stem):
-    """Classify a pulling-loss trace as H2-like or D2-like."""
-    base_args = {"growth": growth, "emit_plot_data": emit_plot_data}
-    if batch_dir:
-        _execute_batch("pull", "trace", batch_dir, base_args, config_path, seed, out_dir)
-        return
-    if not trace:
-        _fail(ValidationError("provide a trace file or --batch DIR"))
-    outcome = _execute("pull", {**base_args, "trace": trace, "stem": stem},
-                       config_path, seed, out_dir)
-    cls = outcome.results["classification"]
-    click.echo(
-        f"{cls['label']} (final loss {cls['final_loss'] * 100.0:.3g}%, "
-        f"growth score {cls['monotone_growth_score']:.2f}, "
-        f"reference ok: {cls['reference_ok']})"
-    )
-
-
-@main.command()
-@_common_options
-@click.option("--diameter-nm", type=float, required=True, help="Fiber diameter [nm].")
-@click.option("--wavelength-nm", type=float, default=1389.0, help="Vacuum wavelength [nm].")
-@click.option("--core-index", type=float, default=None, help="Core index (default from config).")
-@click.option("--sellmeier", is_flag=True,
-              help="Derive the core index from the silica Sellmeier fit instead.")
-@click.option("--cladding-index", type=float, default=None, help="Cladding index (default 1.0).")
-@click.option("--stem", default=None, help="Output file stem (default: modes).")
-def modes(config_path, seed, out_dir, diameter_nm, wavelength_nm, core_index, sellmeier,
-          cladding_index, stem):
-    """Solve the fundamental guided mode and its effective area."""
-    outcome = _execute(
-        "modes",
-        {
-            "diameter_nm": diameter_nm, "wavelength_nm": wavelength_nm,
-            "core_index": core_index, "sellmeier": sellmeier,
-            "cladding_index": cladding_index, "stem": stem,
-        },
-        config_path, seed, out_dir,
-    )
-    results = outcome.results
-    click.echo(
-        f"V = {results['v_number']:.4g}; n_eff = {results['n_eff']:.6f}; "
-        f"A_eff = {results['a_eff_um2']:.4g} um^2; "
-        f"surface ratio = {results['surface_intensity_ratio']:.3g}"
-    )
-
-
-@main.command()
-@_common_options
-@click.option("--finesse", type=float, default=None, help="Cavity finesse.")
-@click.option("--finesse-sigma", type=float, default=0.0)
-@click.option("--sigma0-over-aeff", type=float, default=None,
-              help="Cross-section to mode-area ratio (default from config).")
-@click.option("--prefactor", type=float, default=None,
-              help="Convention constant K (default from config).")
-@click.option("--reference", is_flag=True, help="Use the shipped reference scenario.")
-@click.option("--target", type=float, default=None,
-              help="Also report the finesse required for this cooperativity.")
-@click.option("--label", default="", help="Scenario label carried into the report.")
-@click.option("--stem", default=None, help="Output file stem (default: coop).")
-def coop(config_path, seed, out_dir, finesse, finesse_sigma, sigma0_over_aeff, prefactor,
-         reference, target, label, stem):
-    """Project atom-cavity cooperativity from finesse and mode area."""
-    outcome = _execute(
-        "coop",
-        {
-            "finesse": finesse, "finesse_sigma": finesse_sigma,
-            "sigma0_over_aeff": sigma0_over_aeff, "prefactor": prefactor,
-            "reference": reference, "target": target, "label": label, "stem": stem,
-        },
-        config_path, seed, out_dir,
-    )
-    results = outcome.results
-    click.echo(f"C = {_fmt_quantity(results['cooperativity'])} (K = {results['K']:.6g})")
-
-
-@main.command()
-@_common_options
-@click.argument("records", nargs=-1, type=click.Path(exists=True, dir_okay=False))
-@click.option("--stem", default=None, help="Output file stem (default: report).")
-def report(config_path, seed, out_dir, records, stem):
-    """Render stored run records as a human-readable summary."""
-    outcome = _execute("report", {"records": list(records), "stem": stem},
-                       config_path, seed, out_dir)
-    click.echo(outcome.results["summary"], nl=False)
+for _verb in _VERBS.values():
+    main.add_command(_command(_verb))
 
 
 if __name__ == "__main__":

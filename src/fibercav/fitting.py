@@ -379,8 +379,6 @@ def fit_lorentzian(
     window_hz: tuple[float, float] | None = None,
     window_fwhm_multiple: float = 5.0,
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
-    seed: int = 0,
-    init_jitter: float = 0.0,
 ) -> ResonanceFit:
     """Fit one Lorentzian line (plus background) around a candidate center.
 
@@ -398,10 +396,6 @@ def fit_lorentzian(
     window_hz : (lo, hi), optional
         Explicit fit window; the default is ±``window_fwhm_multiple`` times
         the FWHM estimated from half-prominence crossings.
-    seed, init_jitter :
-        With ``init_jitter > 0``, starting values are perturbed by that
-        relative amount using a generator seeded with ``seed`` (defaults
-        leave the fit fully deterministic).
 
     Raises
     ------
@@ -459,9 +453,6 @@ def fit_lorentzian(
     p0 = [float(x[i_ext]), width0, amp0, base0]
     if n_baseline == 2:
         p0.append(slope0)
-    if init_jitter > 0.0:
-        rng = np.random.default_rng(seed)
-        p0 = [p * (1.0 + init_jitter * rng.standard_normal()) for p in p0]
 
     factory = _lorentzian_residual_factory
     stage1 = _levenberg_marquardt(
@@ -639,7 +630,6 @@ def analyze_spectrum(
     group_index: float = DEFAULT_GROUP_INDEX,
     window_fwhm_multiple: float = 5.0,
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
-    seed: int = 0,
 ) -> FitReport:
     """Detect, fit, and summarize every resonance in a spectrum.
 
@@ -691,7 +681,6 @@ def analyze_spectrum(
                 window_hz=(center - window_fwhm_multiple * widths[rank],
                            center + window_fwhm_multiple * widths[rank]),
                 max_iterations=max_iterations,
-                seed=seed,
             )
         )
     fsr = estimate_fsr(fits)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ParseError, TamperedRecordError, ValidationError
 
-#: Version string embedded in records (kept in sync with the package).
+#: Version string embedded in records; the package exports it as ``__version__``.
 TOOL_VERSION = "0.1.0"
 
 

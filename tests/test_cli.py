@@ -160,6 +160,30 @@ class TestFit:
         assert len(batch_errors) == 1
         assert "broken.csv" in batch_errors[0]["file"]
 
+    def test_batch_matches_single_file_runs_in_name_order(self, runner, tmp_path):
+        spectra = tmp_path / "spectra"
+        spectra.mkdir()
+        for stem, noise in (("c", "0.002"), ("a", "0.0"), ("b", "0.001")):
+            synth_spectrum(runner, spectra, stem=stem, noise=noise)
+        batch_out = tmp_path / "batch"
+        result = run(runner, batch_out, "fit", "--batch", str(spectra), "--emit-plot-data")
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [
+            f"{name}_spectrum.csv: report {batch_out / f'{name}_spectrum_fit_report.json'}"
+            for name in ("a", "b", "c")
+        ]
+        single_out = tmp_path / "single"
+        for name in ("a", "b", "c"):
+            stem = f"{name}_spectrum_fit"
+            result = run(
+                runner, single_out, "fit", str(spectra / f"{name}_spectrum.csv"),
+                "--emit-plot-data", "--stem", stem,
+            )
+            assert result.exit_code == 0, result.output
+            for suffix in ("_report.json", "_overlay.csv"):
+                single = (single_out / f"{stem}{suffix}").read_bytes()
+                assert (batch_out / f"{stem}{suffix}").read_bytes() == single, stem + suffix
+
 
 class TestBudget:
     def test_explicit_inputs_recover_reference_budget(self, runner, tmp_path):
@@ -328,15 +352,25 @@ class TestReport:
         csv_path = synth_spectrum(runner, tmp_path)
         run(runner, tmp_path, "fit", str(csv_path), "--stem", "scan")
         run(runner, tmp_path, "coop", "--reference", "--stem", "proj")
+        run(runner, tmp_path, "budget", "--finesse", "2027", "--r1", "0.1", "--r2", "0.1")
+        run(runner, tmp_path, "modes", "--diameter-nm", "650")
+        trace_path = tmp_path / "trace.csv"
+        write_pull_trace(synthesize_pull_trace(kind="flat", samples=50), trace_path)
+        run(runner, tmp_path, "pull", str(trace_path))
+        stems = ("synth", "scan", "proj", "budget", "modes", "pull")
         result = run(
             runner, tmp_path, "report",
-            str(tmp_path / "scan_record.json"),
-            str(tmp_path / "proj_record.json"),
+            *(str(tmp_path / f"{stem}_record.json") for stem in stems),
         )
         assert result.exit_code == 0, result.output
         summary = (tmp_path / "report_summary.txt").read_text()
         assert "finesse" in summary.lower()
         assert "cooperativity" in summary.lower()
+        # each record is rendered by its own verb's renderer
+        for line in ("  expected finesse:", "  peaks fitted: 3", "  cooperativity:",
+                     "  round-trip loss:", "  V-number:", "  verdict:"):
+            assert line in summary, line
+        assert "unrecognized" not in summary
 
     def test_tampered_record_exits_2(self, runner, tmp_path):
         run(runner, tmp_path, "coop", "--reference", "--stem", "proj")
@@ -348,6 +382,32 @@ class TestReport:
         assert result.exit_code == 2
         payload = json.loads(result.stderr.strip().splitlines()[-1])
         assert payload["error"] == "TamperedRecordError"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["synth", "--t1", T_MIRROR, "--t2", T_MIRROR, "--length-mm", "27", "--samples", "0"],
+         "ValidationError"),
+        (["synth", "--t1", T_MIRROR, "--t2", T_MIRROR, "--length-mm", "27", "--span-fsr", "0"],
+         "ValidationError"),
+        (["modes", "--diameter-nm", "650", "--wavelength-nm", "0"], "DomainError"),
+        (["coop", "--finesse", "2000", "--prefactor", "0"], "DomainError"),
+        (["fit", "SPECTRUM", "--group-index", "0"], "DomainError"),
+    ],
+    ids=["synth-samples", "synth-span-fsr", "modes-wavelength", "coop-prefactor",
+         "fit-group-index"],
+)
+def test_explicit_zero_is_rejected_not_defaulted(runner, tmp_path, args, error):
+    if "SPECTRUM" in args:
+        spectrum = synth_spectrum(runner, tmp_path)
+        args = [str(spectrum) if arg == "SPECTRUM" else arg for arg in args]
+    out = tmp_path / "out"
+    result = run(runner, out, *args)
+    assert result.exit_code == 2
+    payload = json.loads(result.stderr.strip().splitlines()[-1])
+    assert payload["error"] == error
+    assert not (out / f"{args[0]}_report.json").exists()
 
 
 class TestConfigIntegration:
@@ -425,3 +485,4 @@ class TestConsoleScript:
             assert proc.returncode == 0, proc.stderr
             assert "fibercav" in proc.stdout
             assert version in proc.stdout.split()
+            assert proc.stdout.split()[-1] == fibercav.__version__
