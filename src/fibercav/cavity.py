@@ -17,13 +17,14 @@ finesse obeys ``F ≈ 2π / (T₁ + T₂ + alpha_int)`` in the small-loss limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.constants import c as C_VACUUM
 
 from .errors import DomainError, ParseError, SingularCavityError
 from .gratings import GratingSpec
+from .tables import read_columns, write_columns
 
 #: Group index of standard single-mode silica fiber near 1.4 um.
 DEFAULT_GROUP_INDEX = 1.462
@@ -163,13 +164,10 @@ class SpectrumTrace:
     def __eq__(self, other):
         if not isinstance(other, SpectrumTrace):
             return NotImplemented
-        same_refl = (self.reflection is None) == (other.reflection is None) and (
-            self.reflection is None or np.array_equal(self.reflection, other.reflection)
-        )
-        return (
-            np.array_equal(self.frequency_hz, other.frequency_hz)
-            and np.array_equal(self.transmission, other.transmission)
-            and same_refl
+        # array_equal treats a missing reflection as equal only to a missing one
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self) if f.compare
         )
 
 
@@ -250,15 +248,10 @@ def write_spectrum_csv(trace: SpectrumTrace, path) -> None:
     Floats are written with shortest round-trip representation, so a
     read-back reproduces the trace bit for bit.
     """
-    columns = SPECTRUM_HEADER if trace.reflection is not None else SPECTRUM_HEADER[:2]
-    lines = [",".join(columns)]
-    for i in range(trace.frequency_hz.size):
-        row = [repr(float(trace.frequency_hz[i])), repr(float(trace.transmission[i]))]
-        if trace.reflection is not None:
-            row.append(repr(float(trace.reflection[i])))
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    columns = (trace.frequency_hz, trace.transmission)
+    if trace.reflection is not None:
+        columns += (trace.reflection,)
+    write_columns(path, SPECTRUM_HEADER[: len(columns)], columns)
 
 
 def parse_spectrum_csv(path, normalize: bool = False) -> SpectrumTrace:
@@ -271,68 +264,27 @@ def parse_spectrum_csv(path, normalize: bool = False) -> SpectrumTrace:
     Raises
     ------
     ParseError
-        With the offending 1-based line number for malformed headers,
-        non-numeric fields, non-finite samples, or non-monotone grids.
+        As :func:`fibercav.tables.read_columns` does for the file and its
+        rows, or when a channel lies outside [0, 1] without ``normalize``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.rstrip("\n") for line in handle]
-    except OSError as exc:
-        raise ParseError(f"cannot read spectrum file: {exc}", path=str(path)) from exc
-    lines = [line for line in lines if line.strip() != ""]
-    if not lines:
-        raise ParseError("spectrum file is empty", path=str(path))
-    header = tuple(part.strip() for part in lines[0].split(","))
-    if header not in (SPECTRUM_HEADER, SPECTRUM_HEADER[:2]):
-        raise ParseError(
-            f"unrecognized spectrum header {lines[0]!r}", path=str(path), line=1
-        )
-    n_cols = len(header)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} fields, found {len(parts)}", path=str(path), line=lineno
-            )
-        try:
-            values = [float(part) for part in parts]
-        except ValueError:
-            raise ParseError(
-                f"non-numeric field in {line!r}", path=str(path), line=lineno
-            ) from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError("non-finite sample", path=str(path), line=lineno)
-        rows.append(values)
-    if len(rows) < 2:
-        raise ParseError("a spectrum needs at least two samples", path=str(path))
-    data = np.asarray(rows, dtype=float)
-    freq = data[:, 0]
-    bad = np.nonzero(np.diff(freq) <= 0.0)[0]
-    if bad.size:
-        raise ParseError(
-            "frequency grid must be strictly increasing",
-            path=str(path),
-            line=int(bad[0]) + 3,  # header + 1-based + offending successor
-        )
-    channels = [data[:, k] for k in range(1, n_cols)]
+    header, (freq, *channels) = read_columns(path, (SPECTRUM_HEADER, SPECTRUM_HEADER[:2]))
     if normalize:
-        channels = [_normalize_channel(chan) for chan in channels]
-    for name, chan in zip(("transmission", "reflection"), channels):
+        channels = [_normalize_channel(chan, path) for chan in channels]
+    for name, chan in zip(header[1:], channels):
         if np.any(chan < 0.0) or np.any(chan > 1.0):
             raise ParseError(
-                f"{name} outside [0, 1]; pass normalize=True for raw detector units",
+                f"{name} outside [0, 1]; raw detector units need normalize=True (fit --normalize)",
                 path=str(path),
             )
     return SpectrumTrace(
         frequency_hz=freq,
         transmission=channels[0],
-        reflection=channels[1] if n_cols == 3 else None,
+        reflection=channels[1] if len(channels) == 2 else None,
     )
 
 
-def _normalize_channel(values: np.ndarray) -> np.ndarray:
+def _normalize_channel(values: np.ndarray, path) -> np.ndarray:
     plateau = float(np.percentile(values, 95.0))
     if plateau <= 0.0:
-        raise ParseError("cannot normalize a non-positive channel plateau")
+        raise ParseError("cannot normalize a non-positive channel plateau", path=str(path))
     return np.clip(values / plateau, 0.0, 1.0)

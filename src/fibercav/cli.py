@@ -52,6 +52,7 @@ from .modes import FiberGeometry, silica_sellmeier_index, solve_guided_mode
 from .pulling import classify_flame, fit_loss_growth, load_pull_trace, smooth_loss, smoothing_window
 from .quantity import Quantity, format_parenthesized, format_scientific
 from .records import TOOL_VERSION, RunRecord, file_digest, load_run_record, make_run_record, write_run_record
+from .tables import write_columns
 
 
 def _json_default(obj):
@@ -272,19 +273,17 @@ def _run_fit(args, config, out):
     artifacts = []
     if args["emit_plot_data"]:
         overlay_path = out / f"{args['stem']}_overlay.csv"
-        lines = ["freq_offset_hz,measured,fitted,peak"]
         values = trace.transmission if transmission else trace.reflection
-        for index, peak in enumerate(report.peaks.peaks):
-            lo, hi = peak.window_hz
-            mask = (trace.frequency_hz >= lo) & (trace.frequency_hz <= hi)
-            fitted = evaluate_fit(peak, trace.frequency_hz[mask])
-            for f, measured, model_value in zip(
-                trace.frequency_hz[mask], values[mask], fitted
-            ):
-                lines.append(
-                    f"{float(f)!r},{float(measured)!r},{float(model_value)!r},{index}"
-                )
-        overlay_path.write_text("\n".join(lines) + "\n")
+        peaks = report.peaks.peaks
+        masks = [(trace.frequency_hz >= p.window_hz[0]) & (trace.frequency_hz <= p.window_hz[1])
+                 for p in peaks]
+        freqs = [trace.frequency_hz[mask] for mask in masks]
+        write_columns(overlay_path, ("freq_offset_hz", "measured", "fitted", "peak"), (
+            np.concatenate(freqs),
+            np.concatenate([values[mask] for mask in masks]),
+            np.concatenate([evaluate_fit(peak, freq) for peak, freq in zip(peaks, freqs)]),
+            np.repeat(np.arange(len(peaks)), [freq.size for freq in freqs]),
+        ))
         artifacts.append(overlay_path)
         results["overlay_csv"] = overlay_path.name
     inputs = {"spectrum": {"path": source.name, "sha256": file_digest(source)}}
@@ -391,10 +390,8 @@ def _run_pull(args, config, out):
     if args["emit_plot_data"]:
         smooth_path = out / f"{args['stem']}_smoothed.csv"
         smoothed = smooth_loss(trace.loss_primary, smoothing_window(len(trace)))
-        lines = ["time_s,loss_raw,loss_smoothed"]
-        for t, raw, smooth in zip(trace.time_s, trace.loss_primary, smoothed):
-            lines.append(f"{float(t)!r},{float(raw)!r},{float(smooth)!r}")
-        smooth_path.write_text("\n".join(lines) + "\n")
+        write_columns(smooth_path, ("time_s", "loss_raw", "loss_smoothed"),
+                      (trace.time_s, trace.loss_primary, smoothed))
         artifacts.append(smooth_path)
         results["smoothed_csv"] = smooth_path.name
     inputs = {"trace": {"path": source.name, "sha256": file_digest(source)}}

@@ -37,7 +37,7 @@ class ValidationError(FibercavError, ValueError):
 
 
 class ParseError(ValidationError):
-    """A file could not be parsed; ``details`` locates the offending row."""
+    """A file could not be parsed; ``details`` holds ``path`` (and ``line``, ``rows``)."""
 
 
 class DomainError(ValidationError):

@@ -224,17 +224,19 @@ def detect_peaks(
     ndarray
         Candidate center frequencies [Hz].
     """
+    return trace.frequency_hz[_candidates(trace, polarity, prominence_threshold, channel)[0]]
+
+
+def _candidates(trace, polarity, prominence_threshold, channel):
+    """Validated ``find_peaks`` on the oriented channel: ``(indices, prominences, oriented)``."""
     if polarity not in ("peak", "dip"):
         raise DomainError(f"polarity must be 'peak' or 'dip', got {polarity!r}")
     if not 0.0 < prominence_threshold < 1.0:
         raise DomainError("prominence threshold must lie in (0, 1)")
     values = _channel_values(trace, channel)
-    span = float(np.ptp(values))
-    if span == 0.0:
-        return np.empty(0, dtype=float)
     oriented = values if polarity == "peak" else -values
-    indices, _ = find_peaks(oriented, prominence=prominence_threshold * span)
-    return trace.frequency_hz[indices]
+    indices, props = find_peaks(oriented, prominence=prominence_threshold * float(np.ptp(values)))
+    return indices, props["prominences"], oriented
 
 
 def _half_prominence_width(freq: np.ndarray, oriented: np.ndarray, index: int) -> float:
@@ -314,6 +316,18 @@ def _levenberg_marquardt(residual_jac, p0, max_iterations: int) -> _LMResult:
             converged = True
             break
     return _LMResult(params, cost, residual, jacobian, iterations, converged)
+
+
+def _parameter_sigmas(jacobian: np.ndarray, cost: float) -> np.ndarray:
+    """Parameter sigmas ``sqrt(diag(inv(JᵀJ) · cost / max(n - p, 1)))``; 0.0 where singular."""
+    n, p = jacobian.shape
+    chi2_reduced = cost / max(n - p, 1)
+    try:
+        covariance = np.linalg.inv(jacobian.T @ jacobian) * chi2_reduced
+    except np.linalg.LinAlgError:
+        return np.zeros(p)
+    sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    return np.where(np.isfinite(sigmas), sigmas, 0.0)
 
 
 def _lorentzian_residual_factory(x, y, sign, n_baseline, with_etalon):
@@ -495,25 +509,10 @@ def fit_lorentzian(
             f"only {in_fwhm} samples within the fitted FWHM; need >= {_MIN_SAMPLES_IN_FWHM}"
         )
 
-    dof = max(x.size - params.size, 1)
-    chi2_reduced = result.cost / dof
-    normal = result.jacobian.T @ result.jacobian
-    try:
-        covariance = np.linalg.inv(normal) * chi2_reduced
-        sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    except np.linalg.LinAlgError:
-        sigmas = np.full(params.size, np.nan)
-
-    def q(value, sigma, scale=1.0):
-        sigma = float(sigma) * abs(scale)
-        return Quantity(float(value) * scale if scale != 1.0 else float(value),
-                        sigma if math.isfinite(sigma) else 0.0)
-
-    center = Quantity(mid + center_scaled * half_span,
-                      float(sigmas[0]) * half_span if math.isfinite(sigmas[0]) else 0.0)
-    fwhm = Quantity(width_scaled * half_span,
-                    float(sigmas[1]) * half_span if math.isfinite(sigmas[1]) else 0.0)
-    amplitude = q(abs(float(params[2])), sigmas[2] if math.isfinite(sigmas[2]) else 0.0)
+    sigmas = _parameter_sigmas(result.jacobian, result.cost)
+    center = Quantity(mid + center_scaled * half_span, float(sigmas[0]) * half_span)
+    fwhm = Quantity(width_scaled * half_span, float(sigmas[1]) * half_span)
+    amplitude = Quantity(abs(float(params[2])), float(sigmas[2]))
     baseline = (float(params[3]),)
     if n_baseline == 2:
         baseline = (float(params[3]), float(params[4]) / half_span)
@@ -533,7 +532,7 @@ def fit_lorentzian(
         window_hz=(lo, hi),
         model=model,
         channel=channel,
-        goodness=float(chi2_reduced),
+        goodness=float(result.cost / max(x.size - params.size, 1)),
         etalon=etalon,
         iterations=iterations,
     )
@@ -640,13 +639,7 @@ def analyze_spectrum(
     """
     if background is None:
         background = "linear" if channel == "transmission" else "linear+etalon"
-    values = _channel_values(trace, channel)
-    span = float(np.ptp(values))
-    if span == 0.0:
-        raise InsufficientPeaksError("trace is flat; nothing to fit")
-    sign = 1.0 if polarity == "peak" else -1.0
-    oriented = sign * values
-    indices, props = find_peaks(oriented, prominence=prominence_threshold * span)
+    indices, prominences, oriented = _candidates(trace, polarity, prominence_threshold, channel)
     if indices.size < 2:
         raise InsufficientPeaksError(
             f"found {indices.size} candidate resonances; need >= 2 for spacing"
@@ -655,7 +648,7 @@ def analyze_spectrum(
     widths = np.array(
         [_half_prominence_width(freq, oriented, int(i)) for i in indices], dtype=float
     )
-    order = np.argsort(props["prominences"])[::-1]
+    order = np.argsort(prominences)[::-1]
     kept: list[int] = []
     for rank in order:
         center = freq[indices[rank]]

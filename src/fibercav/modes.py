@@ -177,11 +177,9 @@ def solve_he11(geometry: FiberGeometry) -> "GuidedMode":
     if root is None:
         raise NumericalFailureError(
             "no guided-mode root bracketed",
-            details={
-                "diameter_nm": geometry.diameter_nm,
-                "wavelength_nm": geometry.wavelength_nm,
-                "v_number": v_number(geometry),
-            },
+            diameter_nm=geometry.diameter_nm,
+            wavelength_nm=geometry.wavelength_nm,
+            v_number=v_number(geometry),
         )
     return GuidedMode(effective_index=float(root), v_number=v_number(geometry))
 
@@ -312,7 +310,7 @@ def effective_mode_area(geometry: FiberGeometry, n_eff: float) -> tuple[float, f
             if value != 0.0 and abs(abserr / value) > 1e-6:
                 raise NumericalFailureError(
                     "mode-area quadrature did not converge",
-                    details={"interval_m": (lo, hi), "relative_error": abserr / value},
+                    interval_m=(lo, hi), relative_error=abserr / value,
                 )
             if accumulate_sq:
                 total_sq += value
@@ -380,7 +378,7 @@ def solve_guided_mode(geometry: FiberGeometry) -> GuidedMode:
     if not bounds_ok:
         raise NumericalFailureError(
             "guided-mode root escaped the physical index interval",
-            details={"n_eff": mode.effective_index},
+            n_eff=mode.effective_index,
         )
     area_um2, surface_ratio = effective_mode_area(geometry, mode.effective_index)
     return GuidedMode(

@@ -11,17 +11,17 @@ traces, classifies them, and fits simple growth models to the loss curve.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, FitFailureError, ParseError
-from .fitting import _levenberg_marquardt
+from .fitting import _levenberg_marquardt, _parameter_sigmas
 from .quantity import Quantity
+from .tables import read_columns, write_columns
 
 #: CSV column order for pull traces (third column optional).
 PULL_HEADER = ("time_s", "loss_primary", "loss_reference")
@@ -46,10 +46,12 @@ MIN_SAMPLES = 10
 SMOOTHING_FRACTION = 0.05
 
 
-def _as_loss_array(values, name: str) -> np.ndarray:
+def _as_loss_array(values, name: str, size: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be one-dimensional")
+    if arr.size != size:
+        raise DomainError(f"{name} length must match the time axis")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} contains non-finite values")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -95,14 +97,10 @@ class PullTrace:
         time = time.copy()
         time.setflags(write=False)
         object.__setattr__(self, "time_s", time)
-        primary = _as_loss_array(self.loss_primary, "loss_primary")
-        if primary.size != time.size:
-            raise DomainError("loss_primary length must match the time axis")
+        primary = _as_loss_array(self.loss_primary, "loss_primary", time.size)
         object.__setattr__(self, "loss_primary", primary)
         if self.loss_reference is not None:
-            reference = _as_loss_array(self.loss_reference, "loss_reference")
-            if reference.size != time.size:
-                raise DomainError("loss_reference length must match the time axis")
+            reference = _as_loss_array(self.loss_reference, "loss_reference", time.size)
             object.__setattr__(self, "loss_reference", reference)
         if self.probe_wavelength_nm <= 0.0 or self.reference_wavelength_nm <= 0.0:
             raise DomainError("monitor wavelengths must be > 0 nm")
@@ -113,18 +111,9 @@ class PullTrace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PullTrace):
             return NotImplemented
-        if (self.loss_reference is None) != (other.loss_reference is None):
-            return False
-        return (
-            np.array_equal(self.time_s, other.time_s)
-            and np.array_equal(self.loss_primary, other.loss_primary)
-            and (
-                self.loss_reference is None
-                or np.array_equal(self.loss_reference, other.loss_reference)
-            )
-            and self.probe_wavelength_nm == other.probe_wavelength_nm
-            and self.reference_wavelength_nm == other.reference_wavelength_nm
-            and self.flame_label == other.flame_label
+        # array_equal also compares the scalars, and matches None only to None
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
 
@@ -139,107 +128,52 @@ def write_pull_trace(trace: PullTrace, path) -> None:
     reproduces the trace bit-exactly.
     """
     path = Path(path)
-    has_reference = trace.loss_reference is not None
-    header = PULL_HEADER if has_reference else PULL_HEADER[:2]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(len(trace)):
-            row = [repr(float(trace.time_s[i])), repr(float(trace.loss_primary[i]))]
-            if has_reference:
-                row.append(repr(float(trace.loss_reference[i])))
-            writer.writerow(row)
+    columns = (trace.time_s, trace.loss_primary)
+    if trace.loss_reference is not None:
+        columns += (trace.loss_reference,)
+    write_columns(path, PULL_HEADER[: len(columns)], columns)
     meta = {
         "probe_wavelength_nm": trace.probe_wavelength_nm,
         "reference_wavelength_nm": trace.reference_wavelength_nm,
     }
     if trace.flame_label is not None:
         meta["flame_label"] = trace.flame_label
-    with open(_sidecar_path(path), "w") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_pull_trace(path) -> PullTrace:
     """Read a pull trace written by :func:`write_pull_trace`.
 
-    The CSV must carry a ``time_s,loss_primary[,loss_reference]`` header.
-    Every malformed row is reported (1-based line numbers, header is
-    line 1); the metadata sidecar is optional and defaults apply when it
-    is absent.
+    The CSV must carry a ``time_s,loss_primary[,loss_reference]`` header
+    and losses in [0, 1]; every bad row is reported, as
+    :func:`fibercav.tables.read_columns` describes.  The metadata sidecar
+    is optional and defaults apply when it is absent.
 
     Raises
     ------
     ParseError
-        On a missing/unknown header, non-numeric or non-finite fields,
-        out-of-range losses, or a non-increasing time axis.
+        For a bad file or bad rows, or an invalid JSON sidecar.
     """
     path = Path(path)
-    try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise ParseError(f"cannot read pull trace: {exc}", path=str(path)) from exc
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = tuple(cell.strip() for cell in rows[0])
-    if header not in (PULL_HEADER, PULL_HEADER[:2]):
-        raise ParseError(
-            f"{path}: expected header {','.join(PULL_HEADER[:2])}[,loss_reference], "
-            f"got {','.join(header)!r}"
-        )
-    has_reference = len(header) == 3
-    times: list[float] = []
-    primary: list[float] = []
-    reference: list[float] = []
-    problems: list[str] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            problems.append(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
-            continue
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            problems.append(f"row {line_no}: non-numeric field")
-            continue
-        if not all(math.isfinite(v) for v in values):
-            problems.append(f"row {line_no}: non-finite value")
-            continue
-        if times and values[0] <= times[-1]:
-            problems.append(f"row {line_no}: time {values[0]!r} not increasing")
-        for name, value in zip(header[1:], values[1:]):
-            if not 0.0 <= value <= 1.0:
-                problems.append(f"row {line_no}: {name} {value!r} outside [0, 1]")
-        times.append(values[0])
-        primary.append(values[1])
-        if has_reference:
-            reference.append(values[2])
-    if problems:
-        raise ParseError(f"{path}: {len(problems)} bad row(s)", details=problems)
-    if len(times) < 2:
-        raise ParseError(f"{path}: need at least two data rows, got {len(times)}")
-
+    _, (time, primary, *reference) = read_columns(
+        path, (PULL_HEADER, PULL_HEADER[:2]), bounded=PULL_HEADER[1:]
+    )
     meta_path = _sidecar_path(path)
-    probe_nm = DEFAULT_PROBE_NM
-    reference_nm = DEFAULT_REFERENCE_NM
-    flame_label = None
+    meta = {}
     if meta_path.exists():
         try:
             meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{meta_path}: invalid JSON sidecar: {exc}") from exc
-        probe_nm = float(meta.get("probe_wavelength_nm", probe_nm))
-        reference_nm = float(meta.get("reference_wavelength_nm", reference_nm))
-        flame_label = meta.get("flame_label")
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise ParseError(
+                f"{meta_path}: invalid JSON sidecar: {exc}", path=str(meta_path)
+            ) from exc
     return PullTrace(
-        time_s=np.array(times),
-        loss_primary=np.array(primary),
-        loss_reference=np.array(reference) if has_reference else None,
-        probe_wavelength_nm=probe_nm,
-        reference_wavelength_nm=reference_nm,
-        flame_label=flame_label,
+        time_s=time,
+        loss_primary=primary,
+        loss_reference=reference[0] if reference else None,
+        probe_wavelength_nm=float(meta.get("probe_wavelength_nm", DEFAULT_PROBE_NM)),
+        reference_wavelength_nm=float(meta.get("reference_wavelength_nm", DEFAULT_REFERENCE_NM)),
+        flame_label=meta.get("flame_label"),
     )
 
 
@@ -378,11 +312,8 @@ def _linear_fit(time: np.ndarray, loss: np.ndarray) -> GrowthFit:
     design = np.column_stack([np.ones_like(time), time])
     coeff, *_ = np.linalg.lstsq(design, loss, rcond=None)
     residuals = loss - design @ coeff
-    n, p = loss.size, 2
     rms = float(np.sqrt(np.mean(residuals**2)))
-    chi2_red = float(residuals @ residuals) / max(n - p, 1)
-    covariance = np.linalg.inv(design.T @ design) * chi2_red
-    sigma = np.sqrt(np.maximum(np.diag(covariance), 0.0))
+    sigma = _parameter_sigmas(design, float(residuals @ residuals))
     return GrowthFit(
         model="linear",
         parameters={
@@ -463,15 +394,10 @@ def fit_loss_growth(trace: PullTrace, model: str = "linear") -> GrowthFit:
     if not result.converged:
         raise FitFailureError("exponential-onset growth fit did not converge")
     rms = float(np.sqrt(np.mean(result.residual**2)))
-    chi2_reduced = result.cost / max(loss.size - result.params.size, 1)
-    try:
-        covariance = np.linalg.inv(result.jacobian.T @ result.jacobian) * chi2_reduced
-        sigma = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    except np.linalg.LinAlgError:
-        sigma = np.zeros(result.params.size)
+    sigma = _parameter_sigmas(result.jacobian, result.cost)
     names = ("baseline", "amplitude", "rate", "onset_s")
     parameters = {
-        name: Quantity(float(value), float(err) if math.isfinite(err) else 0.0)
+        name: Quantity(float(value), float(err))
         for name, value, err in zip(names, result.params, sigma)
     }
     return GrowthFit(model="exponential-onset", parameters=parameters, residual_rms=rms)

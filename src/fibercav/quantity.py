@@ -54,6 +54,17 @@ def _half_even(x: float) -> int:
     return int(Decimal(repr(x)).quantize(Decimal("1"), rounding=ROUND_HALF_EVEN))
 
 
+def _round_to_sigma(value: float, sigma: float) -> tuple[Decimal, int, int]:
+    """Round ``sigma`` half-even to one digit and ``value`` to its place: (value, digit, decade)."""
+    exponent = math.floor(math.log10(sigma))
+    digit = _half_even(sigma / 10.0**exponent)
+    if digit == 10:  # e.g. 0.98 -> 1.0 at the next decade
+        digit = 1
+        exponent += 1
+    quantum = Decimal(1).scaleb(exponent)
+    return Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_EVEN), digit, exponent
+
+
 def format_parenthesized(value: float, sigma: float, unit: str = "") -> str:
     """Render ``value ± sigma`` as e.g. ``0.48(4)`` / ``1310(90)``.
 
@@ -65,13 +76,7 @@ def format_parenthesized(value: float, sigma: float, unit: str = "") -> str:
         raise DomainError("sigma must be >= 0")
     if sigma == 0.0:
         return f"{value:g}{unit}"
-    exponent = math.floor(math.log10(sigma))
-    digit = _half_even(sigma / 10.0**exponent)
-    if digit == 10:  # e.g. 0.98 -> 1.0 at the next decade
-        digit = 1
-        exponent += 1
-    quantum = Decimal(1).scaleb(exponent)
-    rounded = Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_EVEN)
+    rounded, digit, exponent = _round_to_sigma(value, sigma)
     if exponent >= 0:
         return f"{rounded:f}({digit * 10 ** exponent}){unit}"
     return f"{rounded:f}({digit}){unit}"
@@ -81,7 +86,9 @@ def format_scientific(value: float, sigma: float = 0.0) -> str:
     """Render in two-significant-figure scientific form, e.g. ``1.3(1)×10³``.
 
     The mantissa is quoted to one decimal place (half-even) and the sigma,
-    when nonzero, is expressed in units of that final digit.
+    when nonzero, is expressed in units of that final digit.  A nonzero
+    sigma too small for that digit never prints ``(0)``: the mantissa is
+    then quoted down to the sigma's leading digit, e.g. ``1.300(6)×10³``.
     """
     if value == 0.0:
         return "0"
@@ -92,11 +99,13 @@ def format_scientific(value: float, sigma: float = 0.0) -> str:
     if abs(mantissa) >= 10:  # 9.97 -> 10.0 rolls over to the next decade
         mantissa = (mantissa / 10).quantize(Decimal("0.1"), rounding=ROUND_HALF_EVEN)
         exponent += 1
-    power = f"×10{str(exponent).translate(_SUPERSCRIPTS)}"
-    if sigma == 0.0:
-        return f"{mantissa}{power}"
     digit = _half_even(sigma / 10.0 ** (exponent - 1))
-    return f"{mantissa}({digit}){power}"
+    if sigma != 0.0 and digit == 0:
+        rounded, digit, _ = _round_to_sigma(value, sigma)
+        exponent = rounded.adjusted()
+        mantissa = rounded.scaleb(-exponent)
+    power = f"×10{str(exponent).translate(_SUPERSCRIPTS)}"
+    return f"{mantissa}({digit}){power}" if sigma != 0.0 else f"{mantissa}{power}"
 
 
 def ratio(numerator: Quantity, denominator: Quantity) -> Quantity:

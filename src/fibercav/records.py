@@ -79,7 +79,7 @@ class RunRecord:
         if self.record_id != expected:
             raise ValidationError(
                 "record_id does not match its inputs + config",
-                details={"expected": expected, "stored": self.record_id},
+                expected=expected, stored=self.record_id,
             )
 
     def as_dict(self) -> dict:
@@ -154,13 +154,13 @@ def load_run_record(path) -> RunRecord:
     if actual_integrity != stored_integrity:
         raise TamperedRecordError(
             f"{path}: integrity hash mismatch; the record was modified after writing",
-            details={"stored": stored_integrity, "computed": actual_integrity},
+            stored=stored_integrity, computed=actual_integrity,
         )
     expected_id = compute_record_id(payload["inputs"], payload["config_snapshot"])
     if payload["record_id"] != expected_id:
         raise TamperedRecordError(
             f"{path}: record_id mismatch; inputs or config were modified",
-            details={"stored": payload["record_id"], "computed": expected_id},
+            stored=payload["record_id"], computed=expected_id,
         )
     return RunRecord(
         record_id=payload["record_id"],

@@ -16,6 +16,7 @@ from fibercav.errors import (
 from fibercav.fitting import (
     FitReport,
     ResonanceFit,
+    _parameter_sigmas,
     analyze_spectrum,
     cavity_length_from_fsr,
     detect_peaks,
@@ -188,6 +189,10 @@ class TestFitLorentzian:
         assert ResonanceFit.from_dict(fit.as_dict()) == fit
 
 
+def test_parameter_sigmas_of_a_singular_fit_are_zero():
+    assert _parameter_sigmas(np.zeros((6, 2)), 1.0).tolist() == [0.0, 0.0]
+
+
 class TestEstimateFsr:
     @staticmethod
     def synthetic_fit(center, sigma=1e3):
@@ -277,6 +282,17 @@ class TestAnalyzeSpectrum:
         )
         with pytest.raises(InsufficientPeaksError):
             analyze_spectrum(trace)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.5])
+    def test_prominence_threshold_validated_as_in_detect_peaks(self, threshold):
+        _, trace = make_cavity_trace(samples=2001)
+        with pytest.raises(DomainError):
+            analyze_spectrum(trace, prominence_threshold=threshold)
+
+    def test_unknown_polarity_rejected(self):
+        _, trace = make_cavity_trace(samples=2001)
+        with pytest.raises(DomainError):
+            analyze_spectrum(trace, polarity="sideways")
 
     def test_report_dict_round_trip(self):
         _, trace = make_cavity_trace()

@@ -105,9 +105,9 @@ class TestTraceIo:
         )
         with pytest.raises(ParseError) as info:
             load_pull_trace(path)
-        details = info.value.details["details"]
-        assert len(details) == 4
-        for line_no, detail in zip((3, 4, 5, 6), details):
+        rows = info.value.details["rows"]
+        assert len(rows) == 4
+        for line_no, detail in zip((3, 4, 5, 6), rows):
             assert f"row {line_no}" in detail
 
     def test_blank_rows_skipped(self, tmp_path):

@@ -89,6 +89,24 @@ class TestFormatScientific:
     def test_negative_value(self):
         assert format_scientific(-1234.0) == "-1.2×10³"
 
+    def test_small_sigma_quotes_its_leading_digit(self):
+        assert format_scientific(1299.79, 6.0) == "1.300(6)×10³"
+        assert format_scientific(647.75, 3.2) == "6.48(3)×10²"
+        assert format_scientific(-1299.79, 6.0) == "-1.300(6)×10³"
+        assert format_scientific(0.00123, 1e-6) == "1.230(1)×10⁻³"
+
+    def test_small_sigma_digit_rollover(self):
+        # 0.96 rounds to 1.0, i.e. one digit at the next decade up
+        assert format_scientific(1299.79, 0.96) == "1.300(1)×10³"
+
+    def test_small_sigma_mantissa_rollover(self):
+        assert format_scientific(9999.97, 3.0) == "1.0000(3)×10⁴"
+
+    @pytest.mark.parametrize("value", [647.75, 1299.79, 5372.1, 0.0123, 9.96e5])
+    @pytest.mark.parametrize("relative", [1e-12, 1e-6, 1e-3, 0.01, 0.049, 0.05, 0.2])
+    def test_nonzero_sigma_never_renders_zero(self, value, relative):
+        assert "(0)" not in format_scientific(value, value * relative)
+
 
 class TestRatio:
     def test_propagates_relative_errors_in_quadrature(self):
