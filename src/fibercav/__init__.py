@@ -5,7 +5,12 @@ round-trip loss into mirror transmittances and intrinsic loss, model
 impurity absorption bands and pulling-loss traces, solve the fundamental
 guided mode of a subwavelength fiber, and project atom-cavity
 cooperativity.
+
+``__all__`` is every public name the imports below bind; each name is
+listed once, in those imports.
 """
+
+from types import ModuleType as _ModuleType
 
 from .absorption import (
     AbsorptionBand,
@@ -18,10 +23,8 @@ from .absorption import (
     transparency_check,
 )
 from .budget import (
-    BudgetComparison,
     LossBudget,
     budget,
-    compare_budgets,
     finesse_from_loss,
     loss_from_finesse,
     mirror_transmittance_from_reflectance,
@@ -34,7 +37,7 @@ from .cavity import (
     parse_spectrum_csv,
     write_spectrum_csv,
 )
-from .config import ToolConfig, absorption_bands, load_config
+from .config import ToolConfig, load_config
 from .cooperativity import (
     CooperativityScenario,
     cooperativity,
@@ -98,82 +101,8 @@ from .records import TOOL_VERSION, RunRecord, load_run_record, make_run_record, 
 
 __version__ = TOOL_VERSION
 
-__all__ = [
-    "AbsorptionBand",
-    "BudgetComparison",
-    "CavityModel",
-    "CooperativityScenario",
-    "DomainError",
-    "EtalonBackground",
-    "FiberGeometry",
-    "FibercavError",
-    "FitFailureError",
-    "FitReport",
-    "FlameClassification",
-    "GratingSpec",
-    "GrowthFit",
-    "GuidedMode",
-    "InsufficientPeaksError",
-    "LossBudget",
-    "MeasurementInconsistencyError",
-    "MirrorResponse",
-    "NumericalFailureError",
-    "ParseError",
-    "PeakSet",
-    "PullTrace",
-    "Quantity",
-    "ResonanceFit",
-    "RunRecord",
-    "SingularCavityError",
-    "SpectrumTrace",
-    "TamperedRecordError",
-    "ToolConfig",
-    "TransparencyResult",
-    "ValidationError",
-    "WindowTooNarrowError",
-    "absorption_bands",
-    "analyze_spectrum",
-    "band_absorption",
-    "budget",
-    "cavity_length_from_fsr",
-    "cavity_spectrum",
-    "classify_flame",
-    "compare_budgets",
-    "cooperativity",
-    "default_bands",
-    "detect_peaks",
-    "deuteroxyl_band",
-    "estimate_fsr",
-    "evaluate_fit",
-    "finesse",
-    "finesse_from_loss",
-    "fit_lorentzian",
-    "fit_loss_growth",
-    "format_parenthesized",
-    "format_scientific",
-    "grating_coupling_from_peak",
-    "grating_response",
-    "grating_stopband",
-    "hydroxyl_band",
-    "load_config",
-    "load_pull_trace",
-    "load_run_record",
-    "loss_from_finesse",
-    "make_run_record",
-    "mirror_transmittance_from_reflectance",
-    "mode_intensity",
-    "on_resonance_values",
-    "overtone_center",
-    "parse_spectrum_csv",
-    "reference_scenario",
-    "required_finesse",
-    "silica_sellmeier_index",
-    "solve_guided_mode",
-    "solve_he11",
-    "synthesize_pull_trace",
-    "transparency_check",
-    "v_number",
-    "write_pull_trace",
-    "write_run_record",
-    "write_spectrum_csv",
-]
+# The package namespace also holds the submodules the imports loaded.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

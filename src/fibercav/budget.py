@@ -233,37 +233,3 @@ def budget(
         regime_2=regime_2,
         diagnostics=tuple(diagnostics),
     )
-
-
-@dataclass(frozen=True)
-class BudgetComparison:
-    """Channel-wise differences between two budgets (a minus b)."""
-
-    channels: dict
-
-    def as_dict(self) -> dict:
-        return {name: dict(entry) for name, entry in self.channels.items()}
-
-
-def compare_budgets(a: LossBudget, b: LossBudget) -> BudgetComparison:
-    """Difference each channel of two budgets with quadrature sigmas.
-
-    Each entry carries ``delta`` (a - b), ``sigma``, and ``significance``
-    (|delta|/sigma, infinity when both sigmas are zero and delta is not).
-    The intrinsic-finesse channel is skipped when either side is lossless.
-    """
-    channels = {}
-    names = ["alpha_tot", "t1", "t2", "alpha_int", "finesse_tot"]
-    if a.finesse_int is not None and b.finesse_int is not None:
-        names.append("finesse_int")
-    for name in names:
-        qa: Quantity = getattr(a, name)
-        qb: Quantity = getattr(b, name)
-        delta = qa.value - qb.value
-        sigma = math.hypot(qa.sigma, qb.sigma)
-        if sigma > 0.0:
-            significance = abs(delta) / sigma
-        else:
-            significance = 0.0 if delta == 0.0 else math.inf
-        channels[name] = {"delta": delta, "sigma": sigma, "significance": significance}
-    return BudgetComparison(channels=channels)

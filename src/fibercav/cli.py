@@ -29,7 +29,6 @@ from typing import Callable
 import click
 import numpy as np
 
-from .absorption import transparency_check
 from .budget import budget as compute_budget
 from .cavity import (
     CavityModel,
@@ -38,7 +37,7 @@ from .cavity import (
     parse_spectrum_csv,
     write_spectrum_csv,
 )
-from .config import ToolConfig, absorption_bands, load_config
+from .config import ToolConfig, load_config
 from .cooperativity import (
     CooperativityScenario,
     cooperativity,
@@ -171,6 +170,7 @@ def _run_synth(args, config, out):
     span_fsr = float(args["span_fsr"])
     samples = int(args["samples"])
     noise = float(args["noise"])
+    seed = int(_default_if_none(args["seed"], config.seed))
     center_nm = float(args["center_wavelength_nm"])
     grating_mm = float(args["grating_length_mm"])
     if not 0.0 < t1 < 1.0 or not 0.0 < t2 < 1.0:
@@ -179,6 +179,8 @@ def _run_synth(args, config, out):
         raise ValidationError("need span_fsr > 0 and samples >= 2")
     if noise < 0.0:
         raise ValidationError("noise level must be >= 0")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
 
     model = CavityModel(
         mirror_1=GratingSpec.from_peak_and_length(center_nm, 1.0 - t1, grating_mm),
@@ -191,7 +193,7 @@ def _run_synth(args, config, out):
     freq = np.linspace(-half_span, half_span, samples)
     trace = cavity_spectrum(model, freq)
     if noise > 0.0:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         trace = dataclasses.replace(
             trace,
             transmission=np.clip(
@@ -213,7 +215,7 @@ def _run_synth(args, config, out):
         "span_fsr": span_fsr,
         "samples": samples,
         "noise": noise,
-        "seed": config.seed,
+        "seed": seed,
         "center_wavelength_nm": center_nm,
         "grating_length_mm": grating_mm,
     }
@@ -378,12 +380,6 @@ def _run_pull(args, config, out):
         "flame_label": trace.flame_label,
         "source": source.name,
     }
-    bands = absorption_bands(config)
-    if bands:
-        check = transparency_check(
-            bands, trace.probe_wavelength_nm, threshold=config.transparency_threshold
-        )
-        results["probe_transparency"] = check.as_dict()
     if args["growth"] is not None:
         results["growth_fit"] = fit_loss_growth(trace, model=args["growth"]).as_dict()
     artifacts = []
@@ -403,16 +399,12 @@ def _run_pull(args, config, out):
 
 def _render_pull(results: dict) -> list[str]:
     cls = results["classification"]
-    lines = [
+    return [
         f"  verdict: {cls['label']}",
         f"  final smoothed loss: {cls['final_loss'] * 100.0:.3g}%",
         f"  monotone growth score: {cls['monotone_growth_score']:.3g}",
         f"  reference channel ok: {cls['reference_ok']}",
     ]
-    if results.get("probe_transparency") is not None:
-        clear = results["probe_transparency"]["clear"]
-        lines.append(f"  probe wavelength clear of impurity bands: {clear}")
-    return lines
 
 
 def _run_modes(args, config, out):
@@ -546,6 +538,8 @@ _VERBS = {verb.name: verb for verb in (
             click.Option(["--span-fsr"], type=float, default=3.0, help="Grid span in units of the FSR."),
             click.Option(["--samples"], type=int, default=30001, help="Number of frequency samples."),
             click.Option(["--noise"], type=float, default=0.0, help="Additive Gaussian noise level."),
+            click.Option(["--seed"], type=int, default=None,
+                         help="RNG seed for the noise (default from config)."),
         ),
         role="synthesis_parameters",
         render=_render_synth,
@@ -699,13 +693,11 @@ def _run_batch(verb: _Verb, directory, args: dict, config: ToolConfig, out_dir) 
 
 
 def _command(verb: _Verb) -> click.Command:
-    def callback(config_path, seed, out_dir, batch_dir=None, **args):
+    def callback(config_path, out_dir, batch_dir=None, **args):
         if batch_dir is None and verb.batch_key is not None and args[verb.batch_key] is None:
             _fail(ValidationError(f"provide a {verb.batch_key} file or --batch DIR"))
         try:
             config = load_config(config_path)
-            if seed is not None:
-                config = dataclasses.replace(config, seed=seed)
         except FibercavError as exc:
             _fail(exc)
         if batch_dir is not None:
@@ -720,7 +712,6 @@ def _command(verb: _Verb) -> click.Command:
     params = [
         click.Option(["--out", "out_dir"], type=click.Path(file_okay=False), default=".",
                      help="Directory for reports and records."),
-        click.Option(["--seed"], type=int, default=None, help="Override the configured RNG seed."),
         click.Option(["--config", "config_path"], type=click.Path(exists=False), default=None,
                      help="INI config file (or set FIBERCAV_CONFIG)."),
         *verb.params,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .cavity import DEFAULT_GROUP_INDEX
@@ -31,8 +31,6 @@ _REGIMES = {
 }
 
 _BACKGROUNDS = ("constant", "linear", "linear+etalon")
-
-_BAND_NAMES = ("oh", "od")
 
 
 def _normalize_regime(value: str, key: str) -> str:
@@ -63,11 +61,6 @@ class ToolConfig:
     final_loss_high: float = 0.04
     final_loss_low: float = 0.02
     reference_threshold: float = 0.01
-    # [absorption]
-    bands: tuple = _BAND_NAMES
-    band_fwhm_nm: float = 60.0
-    band_peak_loss: float = 0.08
-    transparency_threshold: float = 1e-3
     # [modes]
     core_index: float = DEFAULT_SILICA_INDEX
     cladding_index: float = 1.0
@@ -96,31 +89,16 @@ class ToolConfig:
             raise ValidationError("need 0 < final_loss_low < final_loss_high < 1")
         if not 0.0 < self.reference_threshold < 1.0:
             raise ValidationError("reference_threshold must lie in (0, 1)")
-        bands = tuple(str(b).strip().lower() for b in self.bands)
-        for band in bands:
-            if band not in _BAND_NAMES:
-                raise ValidationError(f"unknown absorption band {band!r}; known: {_BAND_NAMES}")
-        object.__setattr__(self, "bands", bands)
-        if self.band_fwhm_nm <= 0.0:
-            raise ValidationError("band_fwhm_nm must be > 0")
-        if not 0.0 <= self.band_peak_loss <= 1.0:
-            raise ValidationError("band_peak_loss must lie in [0, 1]")
-        if self.transparency_threshold <= 0.0:
-            raise ValidationError("transparency_threshold must be > 0")
         if not self.core_index > self.cladding_index >= 1.0:
             raise ValidationError("need core_index > cladding_index >= 1")
         if self.prefactor <= 0.0 or self.sigma0_over_aeff <= 0.0:
             raise ValidationError("cooperativity constants must be > 0")
-        for name in ("group_index", "window_fwhm_multiple", "band_fwhm_nm", "prefactor"):
+        for name in ("group_index", "window_fwhm_multiple", "prefactor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
 
     def as_dict(self) -> dict:
-        out = {}
-        for spec in dataclass_fields(self):
-            value = getattr(self, spec.name)
-            out[spec.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return asdict(self)
 
 
 _SECTIONS = {
@@ -128,7 +106,6 @@ _SECTIONS = {
     "fit": ("background", "window_fwhm_multiple", "prominence_threshold", "max_iterations"),
     "budget": ("regime_1", "regime_2"),
     "classify": ("final_loss_high", "final_loss_low", "reference_threshold"),
-    "absorption": ("bands", "band_fwhm_nm", "band_peak_loss", "transparency_threshold"),
     "modes": ("core_index", "cladding_index"),
     "cooperativity": ("prefactor", "sigma0_over_aeff"),
 }
@@ -155,10 +132,12 @@ def load_config(path=None) -> ToolConfig:
         raise ValidationError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: config is not UTF-8 text: {exc}", path=str(path)) from exc
     except configparser.Error as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -169,9 +148,7 @@ def load_config(path=None) -> ToolConfig:
         for key, raw in parser.items(section):
             if key not in _SECTIONS[section]:
                 raise ValidationError(f"{path}: unknown key {key!r} in section [{section}]")
-            if key == "bands":
-                overrides[key] = tuple(part.strip() for part in raw.split(",") if part.strip())
-            elif key in _INT_KEYS:
+            if key in _INT_KEYS:
                 try:
                     overrides[key] = int(raw)
                 except ValueError:
@@ -184,19 +161,3 @@ def load_config(path=None) -> ToolConfig:
                 except ValueError:
                     raise ValidationError(f"{path}: {key} must be a number, got {raw!r}") from None
     return ToolConfig(**overrides)
-
-
-def absorption_bands(config: ToolConfig):
-    """Instantiate the configured impurity band set."""
-    from .absorption import AbsorptionBand
-
-    fundamentals = {"oh": ("Si-OH", 2760.0), "od": ("Si-OD", 3720.0)}
-    return tuple(
-        AbsorptionBand.first_overtone(
-            species=fundamentals[name][0],
-            fundamental_nm=fundamentals[name][1],
-            fwhm_nm=config.band_fwhm_nm,
-            peak_loss=config.band_peak_loss,
-        )
-        for name in config.bands
-    )

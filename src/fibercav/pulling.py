@@ -200,14 +200,10 @@ def smooth_loss(loss: np.ndarray, window: int | None = None) -> np.ndarray:
         raise DomainError(f"window must be a positive odd integer, got {window!r}")
     half = window // 2
     cumulative = np.concatenate(([0.0], np.cumsum(loss)))
-    out = np.empty(n)
-    for i in range(n):
-        k = min(half, i, n - 1 - i)
-        if k == 0:
-            out[i] = loss[i]
-        else:
-            out[i] = (cumulative[i + k + 1] - cumulative[i - k]) / (2 * k + 1)
-    return out
+    i = np.arange(n)
+    k = np.minimum(np.minimum(half, i), n - 1 - i)
+    averaged = (cumulative[i + k + 1] - cumulative[i - k]) / (2 * k + 1)
+    return np.where(k == 0, loss, averaged)
 
 
 @dataclass(frozen=True)

@@ -136,9 +136,11 @@ def load_run_record(path) -> RunRecord:
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"{path}: cannot read run record: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: run record is not UTF-8 text: {exc}", path=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

@@ -7,7 +7,6 @@ import pytest
 from fibercav.budget import (
     LossBudget,
     budget,
-    compare_budgets,
     finesse_from_loss,
     loss_from_finesse,
     mirror_transmittance_from_reflectance,
@@ -201,34 +200,3 @@ class TestBudget:
                 finesse_tot=Quantity(good.finesse_tot.value * 1.01),
                 finesse_int=good.finesse_int,
             )
-
-
-class TestCompareBudgets:
-    def test_identical_budgets_have_zero_significance(self):
-        a = budget(Quantity(1300.0, 26.0), Quantity(0.41, 0.02), Quantity(0.36, 0.01))
-        diff = compare_budgets(a, a)
-        for entry in diff.channels.values():
-            assert entry["delta"] == 0.0
-            assert entry["significance"] == 0.0
-
-    def test_sigma_quadrature_and_significance(self):
-        a = budget(Quantity(1300.0, 26.0), Quantity(0.41, 0.02), Quantity(0.36, 0.01))
-        b = budget(Quantity(1350.0, 26.0), Quantity(0.41, 0.02), Quantity(0.36, 0.01))
-        diff = compare_budgets(a, b)
-        entry = diff.channels["alpha_tot"]
-        expected_sigma = math.hypot(a.alpha_tot.sigma, b.alpha_tot.sigma)
-        assert entry["sigma"] == pytest.approx(expected_sigma, rel=1e-12)
-        assert entry["significance"] == pytest.approx(
-            abs(entry["delta"]) / expected_sigma, rel=1e-12
-        )
-
-    def test_exact_disagreement_is_infinitely_significant(self):
-        a = budget(Quantity(1300.0), Quantity(0.41), Quantity(0.36))
-        b = budget(Quantity(1350.0), Quantity(0.41), Quantity(0.36))
-        assert compare_budgets(a, b).channels["alpha_tot"]["significance"] == math.inf
-
-    def test_lossless_side_skips_intrinsic_finesse(self):
-        a = budget(Quantity(1300.0), Quantity(0.41), Quantity(0.36))
-        b = budget(Quantity(1300.0), Quantity(0.0), Quantity(0.0))
-        assert "finesse_int" not in compare_budgets(a, b).channels
-        assert "finesse_int" in compare_budgets(a, a).channels

@@ -251,8 +251,6 @@ class TestPull:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "verdict_report.json").read_text())
         assert report["classification"]["label"] == "H2-like"
-        # the probe wavelength sits on the hydroxyl overtone band
-        assert report["probe_transparency"]["clear"] is False
 
     def test_growth_fit_and_plot_data(self, runner, tmp_path):
         path = tmp_path / "ramp.csv"
@@ -383,6 +381,16 @@ class TestReport:
         payload = json.loads(result.stderr.strip().splitlines()[-1])
         assert payload["error"] == "TamperedRecordError"
 
+    def test_non_utf8_record_exits_2(self, runner, tmp_path):
+        record_path = tmp_path / "binary_record.json"
+        record_path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        result = run(runner, tmp_path, "report", str(record_path))
+        assert result.exit_code == 2
+        (line,) = result.stderr.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ParseError"
+        assert payload["details"] == {"path": str(record_path)}
+
 
 @pytest.mark.parametrize(
     "args, error",
@@ -423,21 +431,66 @@ class TestConfigIntegration:
         assert record.config_snapshot["background"] == "constant"
 
     def test_seed_flag_overrides_config(self, runner, tmp_path):
+        spectra = {}
+        for name, config_seed, flag in (("flag", 11, ["--seed", "99"]), ("config", 99, [])):
+            config = tmp_path / f"{name}.ini"
+            config.write_text(f"[general]\nseed = {config_seed}\n")
+            out = tmp_path / name
+            result = run(
+                runner, out, "synth", "--t1", T_MIRROR, "--t2", T_MIRROR,
+                "--length-mm", "27.0", "--noise", "0.001", "--config", str(config), *flag,
+            )
+            assert result.exit_code == 0, result.output
+            report = json.loads((out / "synth_report.json").read_text())
+            assert report["parameters"]["seed"] == 99
+            spectra[name] = (out / "synth_spectrum.csv").read_bytes()
+        assert spectra["flag"] == spectra["config"]
+
+    def test_absorption_section_exits_2(self, runner, tmp_path):
         config = tmp_path / "tool.ini"
-        config.write_text("[general]\nseed = 11\n")
-        result = run(
-            runner, tmp_path, "coop", "--reference",
-            "--config", str(config), "--seed", "99",
-        )
-        assert result.exit_code == 0, result.output
-        record = load_run_record(tmp_path / "coop_record.json")
-        assert record.config_snapshot["seed"] == 99
+        config.write_text("[absorption]\nbands = oh\n")
+        result = run(runner, tmp_path, "coop", "--reference", "--config", str(config))
+        assert result.exit_code == 2
+        payload = json.loads(result.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "ValidationError"
+        assert "[absorption]" in payload["message"]
 
     def test_bad_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "tool.ini"
         config.write_text("[general]\nseed = many\n")
         result = run(runner, tmp_path, "coop", "--reference", "--config", str(config))
         assert result.exit_code == 2
+
+    def test_non_utf8_config_exits_2(self, runner, tmp_path):
+        config = tmp_path / "tool.ini"
+        config.write_text("[general]\nseed = 1\n", encoding="utf-16")
+        result = run(runner, tmp_path, "coop", "--reference", "--config", str(config))
+        assert result.exit_code == 2
+        (line,) = result.stderr.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValidationError"
+        assert payload["details"] == {"path": str(config)}
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "SPECTRUM"],
+    ["budget", "--finesse", "2000", "--r1", "0.1", "--r2", "0.1"],
+    ["pull", "TRACE"],
+    ["modes", "--diameter-nm", "650"],
+    ["coop", "--reference"],
+    ["report", "RECORD"],
+], ids=lambda args: args[0])
+def test_seed_is_a_synth_option_only(runner, tmp_path, args):
+    trace = tmp_path / "trace.csv"
+    write_pull_trace(synthesize_pull_trace(kind="flat", samples=50), trace)
+    record = tmp_path / "coop_record.json"
+    record.write_text("{}")
+    files = {"SPECTRUM": str(trace), "TRACE": str(trace), "RECORD": str(record)}
+    out = tmp_path / "out"
+    result = run(runner, out, *(files.get(arg, arg) for arg in args), "--seed", "3")
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr
+    assert not out.exists()
 
 
 def declared_console_script(name):

@@ -1,13 +1,16 @@
 """Configuration loading and tamper-evident run records."""
 
+import ast
+import dataclasses
 import hashlib
 import json
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
-from fibercav.absorption import band_absorption
-from fibercav.config import CONFIG_ENV_VAR, ToolConfig, absorption_bands, load_config
+import fibercav
+from fibercav.config import CONFIG_ENV_VAR, ToolConfig, load_config
 from fibercav.errors import ParseError, TamperedRecordError, ValidationError
 from fibercav.records import (
     RunRecord,
@@ -28,7 +31,6 @@ class TestToolConfigDefaults:
         assert config.group_index == pytest.approx(1.462)
         assert config.background == "linear"
         assert config.regime_1 == "under"
-        assert config.bands == ("oh", "od")
         assert config.cladding_index == 1.0
 
     def test_empty_file_equals_defaults(self, tmp_path):
@@ -38,14 +40,25 @@ class TestToolConfigDefaults:
 
     def test_as_dict_covers_every_field(self):
         payload = ToolConfig().as_dict()
-        assert payload["bands"] == ["oh", "od"]  # tuples become lists
         assert set(payload) == {
             "seed", "group_index", "background", "window_fwhm_multiple",
             "prominence_threshold", "max_iterations", "regime_1", "regime_2",
             "final_loss_high", "final_loss_low", "reference_threshold",
-            "bands", "band_fwhm_nm", "band_peak_loss", "transparency_threshold",
             "core_index", "cladding_index", "prefactor", "sigma0_over_aeff",
         }
+
+    def test_every_field_is_read_outside_the_config_module(self):
+        # a key no analysis reads is a knob that only changes the record id
+        read = set()
+        for path in sorted(Path(fibercav.__file__).parent.glob("*.py")):
+            if path.name == "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "config"):
+                    read.add(node.attr)
+        unread = {spec.name for spec in dataclasses.fields(ToolConfig)} - read
+        assert unread == set()
 
 
 class TestLoadConfig:
@@ -61,9 +74,6 @@ class TestLoadConfig:
             "[budget]\n"
             "regime_1 = overcoupled\n"
             "regime_2 = under\n"
-            "[absorption]\n"
-            "bands = od\n"
-            "band_fwhm_nm = 45.0\n"
             "[cooperativity]\n"
             "prefactor = 1.0\n"
         )
@@ -74,8 +84,6 @@ class TestLoadConfig:
         assert config.max_iterations == 400
         assert config.regime_1 == "over"  # normalized spelling
         assert config.regime_2 == "under"
-        assert config.bands == ("od",)
-        assert config.band_fwhm_nm == 45.0
         assert config.prefactor == 1.0
         # untouched keys keep their defaults
         assert config.prominence_threshold == 0.1
@@ -122,6 +130,13 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             load_config(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "utf16.ini"
+        path.write_text("[general]\nseed = 1\n", encoding="utf-16")
+        with pytest.raises(ValidationError) as info:
+            load_config(path)
+        assert info.value.details == {"path": str(path)}
+
 
 class TestToolConfigValidation:
     def test_regime_spellings(self):
@@ -141,25 +156,6 @@ class TestToolConfigValidation:
             ToolConfig(seed=-1)
         with pytest.raises(ValidationError):
             ToolConfig(background="quadratic")
-
-    def test_unknown_band_rejected(self):
-        with pytest.raises(ValidationError):
-            ToolConfig(bands=("oh", "nh"))
-
-
-class TestAbsorptionBandsFromConfig:
-    def test_default_band_set(self):
-        bands = absorption_bands(ToolConfig())
-        assert [band.species for band in bands] == ["Si-OH", "Si-OD"]
-        assert [band.center_nm for band in bands] == [1380.0, 1860.0]
-
-    def test_band_subset_and_overrides(self):
-        config = ToolConfig(bands=("od",), band_fwhm_nm=45.0, band_peak_loss=0.02)
-        bands = absorption_bands(config)
-        assert len(bands) == 1
-        assert bands[0].center_nm == 1860.0
-        assert bands[0].fwhm_nm == 45.0
-        assert band_absorption(bands, 1860.0) == pytest.approx(0.02, rel=1e-14)
 
 
 def example_record(**overrides):
@@ -247,6 +243,14 @@ class TestRecordIo:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True))
         with pytest.raises(TamperedRecordError):
             load_run_record(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "run_record.json"
+        write_run_record(example_record(), path)
+        path.write_bytes(path.read_text().encode("utf-16"))
+        with pytest.raises(ParseError) as info:
+            load_run_record(path)
+        assert info.value.details == {"path": str(path)}
 
     def test_missing_integrity_rejected(self, tmp_path):
         record = example_record()

@@ -153,6 +153,21 @@ class TestSmoothing:
         with pytest.raises(DomainError):
             smooth_loss(np.zeros(10), 4)
 
+    @pytest.mark.parametrize("n, window", [(1, 1), (1, 5), (2, 3), (10, 5), (301, 1),
+                                           (301, 21), (40, 41), (40, 99)],
+                             ids=["n1", "n1-wide", "n2", "even-n", "window1", "odd-n",
+                                  "window-n+1", "window-over-n"])
+    def test_bits_match_per_index_loop(self, n, window):
+        # the same cumulative-sum differences, evaluated one index at a time
+        loss = np.random.default_rng(n).uniform(0.0, 0.1, size=n).cumsum()
+        cumulative = np.concatenate(([0.0], np.cumsum(loss)))
+        reference = np.empty(n)
+        for i in range(n):
+            k = min(window // 2, i, n - 1 - i)
+            reference[i] = (loss[i] if k == 0
+                            else (cumulative[i + k + 1] - cumulative[i - k]) / (2 * k + 1))
+        assert smooth_loss(loss, window).tobytes() == reference.tobytes()
+
 
 class TestClassifyFlame:
     def test_steady_growth_to_high_loss_is_h2_like(self):
