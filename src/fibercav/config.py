@@ -128,36 +128,43 @@ def load_config(path=None) -> ToolConfig:
         else:
             return ToolConfig()
     path = Path(path)
+
+    def invalid(message: str) -> ValidationError:
+        return ValidationError(f"{path}: {message}", path=str(path))
+
     if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
+        raise ValidationError(f"config file not found: {path}", path=str(path))
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
     except OSError as exc:
-        raise ValidationError(f"{path}: cannot read config: {exc}") from exc
+        raise invalid(f"cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: config is not UTF-8 text: {exc}", path=str(path)) from exc
+        raise invalid(f"config is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise invalid(str(exc)) from exc
 
     overrides = {}
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ValidationError(f"{path}: unknown config section [{section}]")
+            raise invalid(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SECTIONS[section]:
-                raise ValidationError(f"{path}: unknown key {key!r} in section [{section}]")
+                raise invalid(f"unknown key {key!r} in section [{section}]")
             if key in _INT_KEYS:
                 try:
                     overrides[key] = int(raw)
                 except ValueError:
-                    raise ValidationError(f"{path}: {key} must be an integer, got {raw!r}") from None
+                    raise invalid(f"{key} must be an integer, got {raw!r}") from None
             elif key in _STR_KEYS:
                 overrides[key] = raw.strip()
             else:
                 try:
                     overrides[key] = float(raw)
                 except ValueError:
-                    raise ValidationError(f"{path}: {key} must be a number, got {raw!r}") from None
-    return ToolConfig(**overrides)
+                    raise invalid(f"{key} must be a number, got {raw!r}") from None
+    try:
+        return ToolConfig(**overrides)
+    except ValidationError as exc:
+        raise invalid(exc.message) from None

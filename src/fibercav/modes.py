@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.constants import c as _C, epsilon_0 as _EPS0, mu_0 as _MU0
-from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import jv, kve
+from scipy.special import jv, kve, roots_legendre
 
 from .errors import DomainError, NumericalFailureError
 
@@ -38,7 +38,8 @@ QUADRATURE_RTOL = 1e-10
 #: Single-mode limit of the V-number (first zero of J0).
 SINGLE_MODE_V = 2.405
 
-_AZIMUTHAL_ORDER = 1  # m = 1 for HE11
+#: Gauss–Legendre orders of the mode-area rule; their difference is its error.
+_RULE_ORDERS = (48, 96)
 
 
 def silica_sellmeier_index(wavelength_nm: float) -> float:
@@ -99,15 +100,21 @@ def v_number(geometry: FiberGeometry) -> float:
     )
 
 
-def _transverse_arguments(geometry: FiberGeometry, n_eff: float) -> tuple[float, float]:
+def _transverse_arguments(geometry: FiberGeometry, n_eff):
     """Normalized transverse arguments (u, w) at the core radius."""
     ak0 = geometry.radius_m * geometry.vacuum_wavenumber
-    u = ak0 * math.sqrt(max(geometry.core_index**2 - n_eff**2, 0.0))
-    w = ak0 * math.sqrt(max(n_eff**2 - geometry.cladding_index**2, 0.0))
+    n2 = n_eff * n_eff  # x * x, not x ** 2 (pow), so scalars match arrays bit for bit
+    u = ak0 * np.sqrt(np.maximum(geometry.core_index**2 - n2, 0.0))
+    w = ak0 * np.sqrt(np.maximum(n2 - geometry.cladding_index**2, 0.0))
     return u, w
 
 
-def he11_characteristic(geometry: FiberGeometry, n_eff: float) -> float:
+def _bessel_terms(x, y):
+    """(J₁(x), J₁'(x), K₁(y), K₁'(y)), the K pair scaled by e^y."""
+    return jv(1, x), 0.5 * (jv(0, x) - jv(2, x)), kve(1, y), -0.5 * (kve(0, y) + kve(2, y))
+
+
+def he11_characteristic(geometry: FiberGeometry, n_eff):
     """Pole-free form of the m = 1 hybrid-mode dispersion relation.
 
     The textbook eigenvalue equation
@@ -119,21 +126,18 @@ def he11_characteristic(geometry: FiberGeometry, n_eff: float) -> float:
     sign flips that are not modes).  Guided modes are exactly the sign
     changes of this function on n_eff ∈ (n₂, n₁).  Exponentially scaled
     Bessel K functions keep large-w geometries from underflowing; the
-    overall factor e^{2w} does not move the roots.
+    overall factor e^{2w} does not move the roots.  ``n_eff`` may be a
+    scalar or an array; arrays are evaluated elementwise.
     """
-    if not geometry.cladding_index < n_eff < geometry.core_index:
+    if not np.all((geometry.cladding_index < n_eff) & (n_eff < geometry.core_index)):
         raise DomainError("n_eff must lie strictly between the cladding and core indices")
-    m = _AZIMUTHAL_ORDER
     u, w = _transverse_arguments(geometry, n_eff)
     v2 = u * u + w * w
-    j1 = jv(m, u)
-    jp = 0.5 * (jv(m - 1, u) - jv(m + 1, u))
-    k1 = kve(m, w)
-    kp = -0.5 * (kve(m - 1, w) + kve(m + 1, w))
+    j1, jp, k1, kp = _bessel_terms(u, w)
     b1 = jp * w * k1 + kp * u * j1
     b2 = geometry.core_index**2 * jp * w * k1 + geometry.cladding_index**2 * kp * u * j1
-    coupling = m * n_eff * v2 * j1 * k1 / (u * w)
-    return b1 * b2 - coupling**2
+    coupling = n_eff * v2 * j1 * k1 / (u * w)
+    return b1 * b2 - coupling * coupling  # x * x, as in _transverse_arguments
 
 
 def solve_he11(geometry: FiberGeometry) -> "GuidedMode":
@@ -156,7 +160,7 @@ def solve_he11(geometry: FiberGeometry) -> "GuidedMode":
 
     def scan(margin: float, subdivisions: int) -> float | None:
         grid = np.linspace(n_lo + margin, n_hi - 1e-6, subdivisions + 1)
-        values = np.array([he11_characteristic(geometry, x) for x in grid])
+        values = he11_characteristic(geometry, grid)
         crossings = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
         if crossings.size == 0:
             return None
@@ -188,73 +192,55 @@ class _ModeFields:
     """Exact vector fields of a solved m = 1 mode (unit core amplitude).
 
     Field components are complex amplitudes with the common phase
-    ``e^{i(mφ - βz + ωt)}`` stripped; the axial Poynting flux
+    ``e^{i(φ - βz + ωt)}`` stripped; the axial Poynting flux
     ``S_z = ½ Re(E_r H_φ* - E_φ H_r*)`` is then independent of φ.
     """
 
     def __init__(self, geometry: FiberGeometry, n_eff: float):
         self.geometry = geometry
         self.n_eff = float(n_eff)
-        m = _AZIMUTHAL_ORDER
         a = geometry.radius_m
         k0 = geometry.vacuum_wavenumber
         self.omega = k0 * _C
         self.beta = self.n_eff * k0
-        u, w = _transverse_arguments(geometry, n_eff)
-        self.u, self.w = u, w
+        u, w = _transverse_arguments(geometry, self.n_eff)
+        self.w = w
         self.kappa = u / a  # transverse wavenumber, core
         self.gamma = w / a  # decay constant, cladding
         self.eps_core = _EPS0 * geometry.core_index**2
         self.eps_clad = _EPS0 * geometry.cladding_index**2
         # Continuity of E_φ at r = a fixes H_z/E_z = i·b with real b.
-        j1 = jv(m, u)
-        jp = 0.5 * (jv(m - 1, u) - jv(m + 1, u))
-        k1 = kve(m, w)
-        kp = -0.5 * (kve(m - 1, w) + kve(m + 1, w))
+        j1, jp, k1, kp = _bessel_terms(u, w)
         jk = jp / (u * j1) + kp / (w * k1)
-        self.b = m * self.beta * (1.0 / u**2 + 1.0 / w**2) / (self.omega * _MU0 * jk)
+        self.b = self.beta * (1.0 / u**2 + 1.0 / w**2) / (self.omega * _MU0 * jk)
         # Tangential continuity of E_z, H_z fixes the cladding amplitude
         # J₁(u)/K₁(w), carried here against the scaled K functions so the
         # e^{w-y} decay factor never overflows.
-        self.clad_scale = j1 / kve(m, w)
+        self.clad_scale = j1 / k1
 
     def transverse_fields(self, r):
         """(E_r, E_φ, H_r, H_φ) complex amplitudes at radii r [m]."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        m = _AZIMUTHAL_ORDER
-        a = self.geometry.radius_m
-        beta, omega = self.beta, self.omega
-        big_b = 1j * self.b
-        er = np.empty(r.shape, dtype=complex)
-        ephi = np.empty(r.shape, dtype=complex)
-        hr = np.empty(r.shape, dtype=complex)
-        hphi = np.empty(r.shape, dtype=complex)
-
-        core = r <= a
-        if np.any(core):
-            kappa = self.kappa
-            x = kappa * r[core]
-            jp = 0.5 * (jv(m - 1, x) - jv(m + 1, x))
-            j_over_r = kappa * _j_ratio(m, x)
-            factor = -1j / kappa**2
-            er[core] = factor * (beta * kappa * jp + 1j * m * omega * _MU0 * big_b * j_over_r)
-            ephi[core] = factor * (1j * m * beta * j_over_r - omega * _MU0 * big_b * kappa * jp)
-            hr[core] = factor * (beta * kappa * jp * big_b - 1j * m * omega * self.eps_core * j_over_r)
-            hphi[core] = factor * (1j * m * beta * j_over_r * big_b + omega * self.eps_core * kappa * jp)
-
+        core = r <= self.geometry.radius_m
         clad = ~core
-        if np.any(clad):
-            gamma = self.gamma
-            y = gamma * r[clad]
-            scale = self.clad_scale * np.exp(self.w - y)
-            kval = kve(m, y) * scale
-            kp = -0.5 * (kve(m - 1, y) + kve(m + 1, y)) * scale
-            k_over_r = gamma * kval / y
-            factor = 1j / gamma**2
-            er[clad] = factor * (beta * gamma * kp + 1j * m * omega * _MU0 * big_b * k_over_r)
-            ephi[clad] = factor * (1j * m * beta * k_over_r - omega * _MU0 * big_b * gamma * kp)
-            hr[clad] = factor * (beta * gamma * kp * big_b - 1j * m * omega * self.eps_clad * k_over_r)
-            hphi[clad] = factor * (1j * m * beta * k_over_r * big_b + omega * self.eps_clad * gamma * kp)
+        # Per radius: transverse wavenumber q, and the slope f' and f/r of the
+        # radial profile f = J₁(κr) in the core, (J₁(u)/K₁(w))·K₁(γr) outside.
+        q = np.where(core, self.kappa, self.gamma)
+        slope = np.empty(r.shape)
+        f_over_r = np.empty(r.shape)
+        x, y = self.kappa * r[core], self.gamma * r[clad]
+        j1, slope[core], k1, kp = _bessel_terms(x, y)
+        f_over_r[core] = self.kappa * _j1_over_x(x, j1)
+        scale = self.clad_scale * np.exp(self.w - y)
+        slope[clad] = kp * scale
+        f_over_r[clad] = self.gamma * (k1 * scale) / y
+        eps = np.where(core, self.eps_core, self.eps_clad)
+        factor = np.where(core, -1j / self.kappa**2, 1j / self.gamma**2)
+        beta, omega, big_b = self.beta, self.omega, 1j * self.b
+        er = factor * (beta * q * slope + 1j * omega * _MU0 * big_b * f_over_r)
+        ephi = factor * (1j * beta * f_over_r - omega * _MU0 * big_b * q * slope)
+        hr = factor * (beta * q * slope * big_b - 1j * omega * eps * f_over_r)
+        hphi = factor * (1j * beta * f_over_r * big_b + omega * eps * q * slope)
         return er, ephi, hr, hphi
 
     def axial_flux(self, r):
@@ -263,19 +249,10 @@ class _ModeFields:
         return 0.5 * np.real(er * np.conj(hphi) - ephi * np.conj(hr))
 
 
-def _j_ratio(m: int, x):
-    """J_m(x)/x, finite at x = 0 for m = 1 (→ 1/2)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
+def _j1_over_x(x, j1):
+    """J₁(x)/x from J₁(x), finite at x = 0 (→ 1/2)."""
     small = np.abs(x) < 1e-8
-    if np.any(small):
-        if m == 1:
-            out[small] = 0.5 - x[small] ** 2 / 16.0
-        else:
-            out[small] = 0.0
-    big = ~small
-    out[big] = jv(m, x[big]) / x[big]
-    return out
+    return np.where(small, 0.5 - x**2 / 16.0, j1 / np.where(small, 1.0, x))
 
 
 def mode_intensity(geometry: FiberGeometry, n_eff: float, radius_m) -> np.ndarray:
@@ -283,50 +260,64 @@ def mode_intensity(geometry: FiberGeometry, n_eff: float, radius_m) -> np.ndarra
     return np.atleast_1d(_ModeFields(geometry, n_eff).axial_flux(radius_m))
 
 
+_gauss_legendre = cache(roots_legendre)
+
+
+def _radial_rule(a: float, gamma: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r and weights q with ``Σ q·f(r) ≈ ∫₀^{a+30/γ} f(r)·r dr``.
+
+    Three intervals, each mapped so its integrand is smooth: the core in
+    r; ``[a, b]`` with ``b = a + 1/γ`` in ln r, where a weakly guided tail
+    still falls off as a power of r; and the next 29 decay lengths in
+    ``s = e^{-γ(r-b)}``, where the tail is exponential.
+    """
+    nodes, q = _gauss_legendre(order)
+    t = 0.5 * (nodes + 1.0)  # nodes on [0, 1]; the weights then halve
+    b = a + 1.0 / gamma
+    r_core = a * t
+    log_span = math.log(b / a)
+    r_near = a * np.exp(log_span * t)
+    s_lo = math.exp(-29.0)
+    s = s_lo + (1.0 - s_lo) * t
+    r_far = b - np.log(s) / gamma
+    radii = np.concatenate([r_core, r_near, r_far])
+    weights = 0.5 * np.concatenate(
+        [a * q * r_core, log_span * q * r_near**2, (1.0 - s_lo) * q * r_far / (gamma * s)]
+    )
+    return radii, weights
+
+
 def effective_mode_area(geometry: FiberGeometry, n_eff: float) -> tuple[float, float]:
     """(A_eff [µm²], surface intensity ratio) for a solved mode.
 
-    ``A_eff = (∫∫ S_z dA)² / ∫∫ S_z² dA`` by adaptive radial quadrature
-    split at the core boundary; the surface ratio is
+    ``A_eff = (∫∫ S_z dA)² / ∫∫ S_z² dA`` by Gauss–Legendre quadrature on
+    three radial intervals (see :func:`_radial_rule`), run at two orders
+    whose relative difference is the error estimate.  The surface ratio is
     ``S_z(a⁺) / max_r S_z(r)``, the fraction of the peak intensity
-    available in the evanescent field just outside the surface.
+    available in the evanescent field just outside the surface; the HE11
+    flux peaks either on the axis or at ``a⁺``.
     """
     fields = _ModeFields(geometry, n_eff)
     a = geometry.radius_m
-    outer = a + 30.0 / fields.gamma
-
-    def flux_r(r):
-        return float(fields.axial_flux(np.array([r]))[0]) * r
-
-    def flux2_r(r):
-        value = float(fields.axial_flux(np.array([r]))[0])
-        return value * value * r
-
-    total = 0.0
-    total_sq = 0.0
-    for integrand, accumulate_sq in ((flux_r, False), (flux2_r, True)):
-        for lo, hi in ((0.0, a), (a, outer)):
-            value, abserr = quad(integrand, lo, hi, epsabs=0.0, epsrel=QUADRATURE_RTOL, limit=400)
-            if value != 0.0 and abs(abserr / value) > 1e-6:
-                raise NumericalFailureError(
-                    "mode-area quadrature did not converge",
-                    interval_m=(lo, hi), relative_error=abserr / value,
-                )
-            if accumulate_sq:
-                total_sq += value
-            else:
-                total += value
+    peak_radii = np.array([0.0, a * (1.0 + 1e-12) + 1e-15])
+    integrals = []
+    for order in _RULE_ORDERS:
+        radii, weights = _radial_rule(a, fields.gamma, order)
+        flux = fields.axial_flux(np.concatenate([radii, peak_radii]))
+        flux, (axis, surface) = flux[:-2], flux[-2:]
+        integrals.append(np.array([weights @ flux, weights @ (flux * flux)]))
+    coarse, fine = integrals
+    relative_error = float(np.max(np.abs(coarse / fine - 1.0)))
+    if not relative_error <= 1e-6:
+        raise NumericalFailureError(
+            "mode-area quadrature did not converge",
+            diameter_nm=geometry.diameter_nm,
+            wavelength_nm=geometry.wavelength_nm,
+            relative_error=relative_error,
+        )
+    total, total_sq = fine
     area_m2 = 2.0 * math.pi * total**2 / total_sq
-    grid = np.concatenate(
-        [
-            np.linspace(0.0, a, 2001)[:-1],
-            np.linspace(a, a + 10.0 / fields.gamma, 2001) + 1e-15,
-        ]
-    )
-    flux = fields.axial_flux(grid)
-    surface = float(fields.axial_flux(np.array([a * (1.0 + 1e-12) + 1e-15]))[0])
-    peak = max(float(np.max(flux)), surface)
-    return area_m2 * 1e12, surface / peak
+    return float(area_m2) * 1e12, float(surface / max(axis, surface))
 
 
 @dataclass(frozen=True)
@@ -374,12 +365,6 @@ class GuidedMode:
 def solve_guided_mode(geometry: FiberGeometry) -> GuidedMode:
     """Solve HE11 and populate the mode area and surface intensity ratio."""
     mode = solve_he11(geometry)
-    bounds_ok = geometry.cladding_index < mode.effective_index < geometry.core_index
-    if not bounds_ok:
-        raise NumericalFailureError(
-            "guided-mode root escaped the physical index interval",
-            n_eff=mode.effective_index,
-        )
     area_um2, surface_ratio = effective_mode_area(geometry, mode.effective_index)
     return GuidedMode(
         effective_index=mode.effective_index,

@@ -152,7 +152,9 @@ def load_pull_trace(path) -> PullTrace:
     Raises
     ------
     ParseError
-        For a bad file or bad rows, or an invalid JSON sidecar.
+        For a bad file or bad rows, or a sidecar that is not a JSON object,
+        has a wavelength that is not a finite number > 0, or a non-string
+        ``flame_label``.
     """
     path = Path(path)
     _, (time, primary, *reference) = read_columns(
@@ -167,14 +169,37 @@ def load_pull_trace(path) -> PullTrace:
             raise ParseError(
                 f"{meta_path}: invalid JSON sidecar: {exc}", path=str(meta_path)
             ) from exc
+        if not isinstance(meta, dict):
+            raise ParseError(f"{meta_path}: sidecar must be a JSON object", path=str(meta_path))
+    flame_label = meta.get("flame_label")
+    if flame_label is not None and not isinstance(flame_label, str):
+        raise ParseError(f"{meta_path}: flame_label must be a string", path=str(meta_path))
     return PullTrace(
         time_s=time,
         loss_primary=primary,
         loss_reference=reference[0] if reference else None,
-        probe_wavelength_nm=float(meta.get("probe_wavelength_nm", DEFAULT_PROBE_NM)),
-        reference_wavelength_nm=float(meta.get("reference_wavelength_nm", DEFAULT_REFERENCE_NM)),
-        flame_label=meta.get("flame_label"),
+        probe_wavelength_nm=_sidecar_wavelength(
+            meta_path, meta, "probe_wavelength_nm", DEFAULT_PROBE_NM
+        ),
+        reference_wavelength_nm=_sidecar_wavelength(
+            meta_path, meta, "reference_wavelength_nm", DEFAULT_REFERENCE_NM
+        ),
+        flame_label=flame_label,
     )
+
+
+def _sidecar_wavelength(meta_path: Path, meta: dict, key: str, default: float) -> float:
+    """A sidecar wavelength [nm], ``default`` when absent; else a finite number > 0."""
+    try:
+        value = float(meta.get(key, default))
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParseError(
+            f"{meta_path}: {key} must be a finite number > 0, got {meta[key]!r}",
+            path=str(meta_path),
+        )
+    return value
 
 
 def smoothing_window(n_samples: int, fraction: float = SMOOTHING_FRACTION) -> int:

@@ -39,7 +39,7 @@ def file_digest(path) -> str:
             for chunk in iter(lambda: handle.read(65536), b""):
                 digest.update(chunk)
     except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+        raise ParseError(f"{path}: cannot read file: {exc}", path=str(path)) from exc
     return digest.hexdigest()
 
 
@@ -138,31 +138,31 @@ def load_run_record(path) -> RunRecord:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ParseError(f"{path}: cannot read run record: {exc}") from exc
+        raise ParseError(f"{path}: cannot read run record: {exc}", path=str(path)) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: run record is not UTF-8 text: {exc}", path=str(path)) from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise ParseError(f"{path}: invalid JSON: {exc}", path=str(path)) from exc
     if not isinstance(payload, dict):
-        raise ParseError(f"{path}: record must be a JSON object")
+        raise ParseError(f"{path}: record must be a JSON object", path=str(path))
     stored_integrity = payload.pop("integrity", None)
     if stored_integrity is None:
-        raise ParseError(f"{path}: record has no integrity hash")
+        raise ParseError(f"{path}: record has no integrity hash", path=str(path))
     required = {"record_id", "created_at", "inputs", "config_snapshot", "results"}
     missing = required - payload.keys()
     if missing:
-        raise ParseError(f"{path}: record missing fields {sorted(missing)}")
+        raise ParseError(f"{path}: record missing fields {sorted(missing)}", path=str(path))
     actual_integrity = _sha256(_canonical_json(payload))
     if actual_integrity != stored_integrity:
         raise TamperedRecordError(
             f"{path}: integrity hash mismatch; the record was modified after writing",
-            stored=stored_integrity, computed=actual_integrity,
+            path=str(path), stored=stored_integrity, computed=actual_integrity,
         )
     expected_id = compute_record_id(payload["inputs"], payload["config_snapshot"])
     if payload["record_id"] != expected_id:
         raise TamperedRecordError(
             f"{path}: record_id mismatch; inputs or config were modified",
-            stored=payload["record_id"], computed=expected_id,
+            path=str(path), stored=payload["record_id"], computed=expected_id,
         )
     return RunRecord(
         record_id=payload["record_id"],

@@ -287,6 +287,35 @@ class TestPull:
         result = run(runner, tmp_path, "pull", str(path))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("sidecar", ['{"probe_wavelength_nm": "abc"}', "[1, 2]"])
+    def test_bad_sidecar_exits_2_with_one_json_line(self, runner, tmp_path, sidecar):
+        path = tmp_path / "pull.csv"
+        self.write_trace(path, kind="flat", samples=50)
+        (tmp_path / "pull.meta.json").write_text(sidecar)
+        result = run(runner, tmp_path, "pull", str(path))
+        assert result.exit_code == 2
+        (line,) = result.stderr.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ParseError"
+        assert payload["details"] == {"path": str(tmp_path / "pull.meta.json")}
+
+    def test_batch_reports_a_bad_sidecar_and_runs_the_rest(self, runner, tmp_path):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for name in ("a", "b"):
+            self.write_trace(traces / f"{name}.csv", kind="flat", samples=50)
+        (traces / "a.meta.json").write_text('{"probe_wavelength_nm": "abc"}')
+        out = tmp_path / "out"
+        result = run(runner, out, "pull", "--batch", str(traces), "--emit-plot-data")
+        assert result.exit_code == 2
+        (line,) = result.stderr.strip().splitlines()
+        payload = json.loads(line)
+        assert (payload["file"], payload["error"]) == ("a.csv", "ParseError")
+        assert payload["details"] == {"path": str(traces / "a.meta.json")}
+        assert "b.csv: report" in result.stdout
+        assert (out / "b_pull_report.json").exists()
+        assert not (out / "a_pull_report.json").exists()
+
 
 class TestModes:
     def test_solves_the_operating_geometry(self, runner, tmp_path):
@@ -381,6 +410,14 @@ class TestReport:
         payload = json.loads(result.stderr.strip().splitlines()[-1])
         assert payload["error"] == "TamperedRecordError"
 
+    def test_record_without_integrity_names_the_file(self, runner, tmp_path):
+        record_path = tmp_path / "rec.json"
+        record_path.write_text('{"a": 1}')
+        result = run(runner, tmp_path, "report", str(record_path))
+        assert result.exit_code == 2
+        (line,) = result.stderr.strip().splitlines()
+        assert json.loads(line)["details"] == {"path": str(record_path)}
+
     def test_non_utf8_record_exits_2(self, runner, tmp_path):
         record_path = tmp_path / "binary_record.json"
         record_path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
@@ -460,6 +497,18 @@ class TestConfigIntegration:
         config.write_text("[general]\nseed = many\n")
         result = run(runner, tmp_path, "coop", "--reference", "--config", str(config))
         assert result.exit_code == 2
+        (line,) = result.stderr.strip().splitlines()
+        assert json.loads(line)["details"] == {"path": str(config)}
+
+    def test_invalid_config_value_names_the_file(self, runner, tmp_path):
+        config = tmp_path / "tool.ini"
+        config.write_text("[general]\nseed = -3\n")
+        result = run(runner, tmp_path, "coop", "--reference", "--config", str(config))
+        assert result.exit_code == 2
+        (line,) = result.stderr.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["details"] == {"path": str(config)}
+        assert payload["message"] == f"{config}: seed must be >= 0"
 
     def test_non_utf8_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "tool.ini"

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fibercav.errors import DomainError
+import fibercav.modes as modes
+from fibercav.errors import DomainError, NumericalFailureError
 from fibercav.modes import (
     DEFAULT_SILICA_INDEX,
     SINGLE_MODE_V,
@@ -22,9 +23,15 @@ from fibercav.modes import (
 
 WAVELENGTH_NM = 1389.0
 
-# Frozen regression values for the three working diameters at 1389 nm
-# (core index 1.4449, vacuum cladding).
+# Frozen regression values for the three working diameters at 1389 nm, plus
+# the weakly guided d = 300 nm (core index 1.4449, vacuum cladding).
 FROZEN = {
+    300.0: {
+        "v": 0.7076697551151823,
+        "n_eff": 1.0000132941262692,
+        "a_eff_um2": 2760.2931851143126,
+        "surface_ratio": 1.0,
+    },
     400.0: {
         "v": 0.9435596734869097,
         "n_eff": 1.0016929960396947,
@@ -126,6 +133,16 @@ class TestSolveHe11:
     def test_characteristic_guard(self):
         with pytest.raises(DomainError):
             he11_characteristic(geometry(650.0), 1.5)
+        with pytest.raises(DomainError):
+            he11_characteristic(geometry(650.0), np.array([1.2, 1.5]))
+
+    @pytest.mark.parametrize("diameter", [300.0, 650.0, 1200.0])
+    def test_array_call_matches_scalar_calls_bit_for_bit(self, diameter):
+        g = geometry(diameter)
+        grid = np.linspace(1.0 + 1e-9, DEFAULT_SILICA_INDEX - 1e-6, 2001)
+        values = he11_characteristic(g, grid)
+        scalars = np.array([he11_characteristic(g, float(x)) for x in grid])
+        assert values.tobytes() == scalars.tobytes()
 
 
 class TestModeArea:
@@ -150,6 +167,28 @@ class TestModeArea:
         for diameter in FROZEN:
             ratio = solve_guided_mode(geometry(diameter)).surface_intensity_ratio
             assert 0.0 < ratio <= 1.0
+
+    @pytest.mark.parametrize("diameter", np.arange(300.0, 1201.0, 100.0))
+    def test_flux_peaks_on_the_axis_or_at_the_surface(self, diameter):
+        # dense-grid oracle for the peak that the surface ratio divides by
+        g = geometry(diameter)
+        mode = solve_guided_mode(g)
+        gamma = g.vacuum_wavenumber * math.sqrt(mode.effective_index**2 - 1.0)
+        a = g.radius_m
+        radii = np.linspace(0.0, a + 10.0 / gamma, 4001)
+        peak = mode_intensity(g, mode.effective_index, [a * (1.0 + 1e-12) + 1e-15])[0]
+        peak /= mode.surface_intensity_ratio
+        flux = mode_intensity(g, mode.effective_index, radii)
+        assert np.max(flux) <= peak * (1.0 + 1e-9)
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        g = geometry(650.0)
+        n_eff = solve_he11(g).effective_index
+        monkeypatch.setattr(modes, "_RULE_ORDERS", (2, 4))
+        with pytest.raises(NumericalFailureError) as info:
+            effective_mode_area(g, n_eff)
+        assert set(info.value.details) == {"diameter_nm", "wavelength_nm", "relative_error"}
+        assert info.value.details["relative_error"] > 1e-6
 
     def test_direct_call_matches_solver(self):
         g = geometry(650.0)

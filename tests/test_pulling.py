@@ -92,6 +92,24 @@ class TestTraceIo:
         with pytest.raises(ParseError):
             load_pull_trace(path)
 
+    @pytest.mark.parametrize("sidecar", [
+        [1, 2],
+        "1389",
+        {"probe_wavelength_nm": "abc"},
+        {"probe_wavelength_nm": -5},
+        {"reference_wavelength_nm": None},
+        {"reference_wavelength_nm": float("inf")},
+        {"flame_label": 3},
+    ], ids=["list", "string", "text-wavelength", "negative-wavelength", "null-wavelength",
+            "infinite-wavelength", "numeric-label"])
+    def test_bad_sidecar_is_a_parse_error_naming_it(self, tmp_path, sidecar):
+        path = tmp_path / "pull.csv"
+        write_pull_trace(synthesize_pull_trace("flat", samples=20), path)
+        (tmp_path / "pull.meta.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ParseError) as info:
+            load_pull_trace(path)
+        assert info.value.details == {"path": str(tmp_path / "pull.meta.json")}
+
     def test_all_bad_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "pull.csv"
         path.write_text(
