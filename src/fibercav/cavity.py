@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
 
 from .errors import DomainError, ParseError, SingularCavityError
-from .gratings import GratingSpec
+from .gratings import C_VACUUM, GratingSpec
 from .tables import read_columns, write_columns
 
 #: Group index of standard single-mode silica fiber near 1.4 um.

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
-from scipy.signal import find_peaks
 
 from .cavity import DEFAULT_GROUP_INDEX, SpectrumTrace
 from .errors import (
@@ -30,6 +28,7 @@ from .errors import (
     InsufficientPeaksError,
     WindowTooNarrowError,
 )
+from .gratings import C_VACUUM
 from .quantity import Quantity, ratio
 
 _COST_TOL = 1e-10
@@ -225,6 +224,17 @@ def detect_peaks(
         Candidate center frequencies [Hz].
     """
     return trace.frequency_hz[_candidates(trace, polarity, prominence_threshold, channel)[0]]
+
+
+def find_peaks(x, **kwargs):
+    """``scipy.signal.find_peaks``, with ``scipy.signal`` imported on the first call.
+
+    Importing ``scipy.signal`` takes most of a second; only spectrum analysis
+    needs it, so the verbs that fit no spectrum start without it.
+    """
+    from scipy.signal import find_peaks as scipy_find_peaks
+
+    return scipy_find_peaks(x, **kwargs)
 
 
 def _candidates(trace, polarity, prominence_threshold, channel):

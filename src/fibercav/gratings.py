@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
 
 from .errors import DomainError
+
+#: Speed of light in vacuum [m/s], exact by the SI definition.
+C_VACUUM = 299792458.0
 
 #: Effective index of the guided mode inside the grating region.  Standard
 #: germanosilicate single-mode fiber near 1.4 um.

@@ -20,11 +20,16 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.constants import c as _C, epsilon_0 as _EPS0, mu_0 as _MU0
-from scipy.optimize import brentq
-from scipy.special import jv, kve, roots_legendre
 
 from .errors import DomainError, NumericalFailureError
+from .gratings import C_VACUUM
+
+# scipy.optimize and scipy.special are imported by the functions that call
+# them, so that importing this module (and the CLI) loads no scipy.
+
+#: Vacuum permittivity [F/m] and permeability [H/m], CODATA 2022.
+_EPS0 = 8.8541878188e-12
+_MU0 = 1.25663706127e-06
 
 #: Default silica refractive index near 1389 nm (configurable).
 DEFAULT_SILICA_INDEX = 1.4449
@@ -32,8 +37,8 @@ DEFAULT_SILICA_INDEX = 1.4449
 #: Root tolerance on the effective index.
 N_EFF_TOLERANCE = 1e-10
 
-#: Relative tolerance requested from the mode-area quadrature.
-QUADRATURE_RTOL = 1e-10
+#: Largest relative difference allowed between the two mode-area rule orders.
+QUADRATURE_RTOL = 1e-6
 
 #: Single-mode limit of the V-number (first zero of J0).
 SINGLE_MODE_V = 2.405
@@ -111,6 +116,8 @@ def _transverse_arguments(geometry: FiberGeometry, n_eff):
 
 def _bessel_terms(x, y):
     """(J₁(x), J₁'(x), K₁(y), K₁'(y)), the K pair scaled by e^y."""
+    from scipy.special import jv, kve
+
     return jv(1, x), 0.5 * (jv(0, x) - jv(2, x)), kve(1, y), -0.5 * (kve(0, y) + kve(2, y))
 
 
@@ -155,6 +162,8 @@ def solve_he11(geometry: FiberGeometry) -> "GuidedMode":
         With ``effective_index`` and ``v_number`` populated; use
         :func:`solve_guided_mode` to also fill in the mode area.
     """
+    from scipy.optimize import brentq
+
     n_lo = geometry.cladding_index
     n_hi = geometry.core_index
 
@@ -201,7 +210,7 @@ class _ModeFields:
         self.n_eff = float(n_eff)
         a = geometry.radius_m
         k0 = geometry.vacuum_wavenumber
-        self.omega = k0 * _C
+        self.omega = k0 * C_VACUUM
         self.beta = self.n_eff * k0
         u, w = _transverse_arguments(geometry, self.n_eff)
         self.w = w
@@ -260,7 +269,12 @@ def mode_intensity(geometry: FiberGeometry, n_eff: float, radius_m) -> np.ndarra
     return np.atleast_1d(_ModeFields(geometry, n_eff).axial_flux(radius_m))
 
 
-_gauss_legendre = cache(roots_legendre)
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Legendre nodes and weights on [-1, 1], computed once per order."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(order)
 
 
 def _radial_rule(a: float, gamma: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +322,7 @@ def effective_mode_area(geometry: FiberGeometry, n_eff: float) -> tuple[float, f
         integrals.append(np.array([weights @ flux, weights @ (flux * flux)]))
     coarse, fine = integrals
     relative_error = float(np.max(np.abs(coarse / fine - 1.0)))
-    if not relative_error <= 1e-6:
+    if not relative_error <= QUADRATURE_RTOL:
         raise NumericalFailureError(
             "mode-area quadrature did not converge",
             diameter_nm=geometry.diameter_nm,

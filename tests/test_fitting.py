@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+import fibercav.fitting as fitting
 from fibercav.cavity import CavityModel, SpectrumTrace, cavity_spectrum
 from fibercav.errors import (
     DomainError,
@@ -63,6 +64,21 @@ def make_cavity_trace(t1=0.000867, t2=0.000867, alpha_int=0.0031, length_mm=27.0
 
 
 class TestDetectPeaks:
+    def test_analyze_spectrum_looks_up_find_peaks_at_call_time(self, monkeypatch):
+        # The name is module-level and resolved per call, so a wrapper set on
+        # the module (as the benchmark's tracer does) sees every detection.
+        calls = []
+        original = fitting.find_peaks
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "find_peaks", counting)
+        report = analyze_spectrum(make_cavity_trace()[1])
+        assert len(calls) == 1
+        assert len(report.peaks.peaks) == 3
+
     def test_finds_three_cavity_resonances(self):
         model, trace = make_cavity_trace()
         centers = detect_peaks(trace)

@@ -188,7 +188,15 @@ class TestModeArea:
         with pytest.raises(NumericalFailureError) as info:
             effective_mode_area(g, n_eff)
         assert set(info.value.details) == {"diameter_nm", "wavelength_nm", "relative_error"}
-        assert info.value.details["relative_error"] > 1e-6
+        assert info.value.details["relative_error"] > modes.QUADRATURE_RTOL
+
+    def test_convergence_check_reads_quadrature_rtol(self, monkeypatch):
+        g = geometry(650.0)
+        n_eff = solve_he11(g).effective_index
+        monkeypatch.setattr(modes, "_RULE_ORDERS", (2, 4))
+        monkeypatch.setattr(modes, "QUADRATURE_RTOL", math.inf)
+        area, _ = effective_mode_area(g, n_eff)
+        assert area > 0.0
 
     def test_direct_call_matches_solver(self):
         g = geometry(650.0)
@@ -232,6 +240,7 @@ class TestGuidedMode:
         assert payload["v_number"] == mode.v_number
         assert payload["surface_intensity_ratio"] == mode.surface_intensity_ratio
         assert set(payload["solver_tolerances"]) == {"n_eff_abs", "quadrature_rel"}
+        assert payload["solver_tolerances"]["quadrature_rel"] == modes.QUADRATURE_RTOL
 
     def test_validation(self):
         with pytest.raises(DomainError):
