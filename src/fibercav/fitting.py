@@ -226,15 +226,80 @@ def detect_peaks(
     return trace.frequency_hz[_candidates(trace, polarity, prominence_threshold, channel)[0]]
 
 
-def find_peaks(x, **kwargs):
-    """``scipy.signal.find_peaks``, with ``scipy.signal`` imported on the first call.
+def find_peaks(x, *, prominence: float):
+    """Local maxima of ``x`` whose prominence is at least ``prominence``.
 
-    Importing ``scipy.signal`` takes most of a second; only spectrum analysis
-    needs it, so the verbs that fit no spectrum start without it.
+    Returns ``(indices, {"prominences": ...})``, the same arrays, bit for
+    bit, as ``scipy.signal.find_peaks(x, prominence=prominence)``, by the
+    same rules:
+
+    - a local maximum is a sample, or a flat run of equal samples, with a
+      strictly lower neighbour on each side; a run's peak is its midpoint
+      ``(left + right) // 2``, and nothing is reported at either edge;
+    - from the peak, the base search walks each way until the first sample
+      strictly higher than the peak, or the edge; the lowest sample walked
+      over is that side's base;
+    - the prominence is ``x[peak] - max(left base, right base)``, and a peak
+      is kept when ``prominence <= its prominence``.
+
+    Between two neighbouring maxima the samples only fall and then only
+    rise, so the walk passes every maximum no higher than the peak, and
+    stops on the way up to the first higher one after crossing the bottom
+    of the valley before it.  Each base is therefore the lowest valley
+    between the peak and the nearest strictly higher maximum on that side
+    (:func:`_base_minima`).
     """
-    from scipy.signal import find_peaks as scipy_find_peaks
+    x = np.asarray(x, dtype=float)
+    slopes = np.diff(x)
+    turns = np.flatnonzero(slopes)
+    rising = slopes[turns] > 0.0
+    # Where the slope changes sign an extremum spans turn + 1 .. next turn;
+    # maxima and minima alternate.
+    change = np.flatnonzero(rising[:-1] != rising[1:])
+    first = 0 if change.size and rising[change[0]] else 1  # 0: a maximum comes first
+    left_end = turns[change] + 1
+    peaks = (left_end[first::2] + turns[change + 1][first::2]) // 2
+    if peaks.size == 0:
+        return peaks, {"prominences": np.empty(0)}
+    heights = x[peaks]
+    # valleys[j]: the lowest sample between peak j - 1 and peak j, which is
+    # the local minimum between them; before the first peak and after the
+    # last, the edge sample stands in where the trace has no minimum there.
+    troughs = x[left_end[1 - first::2]]
+    head = x[:1] if first == 0 else x[:0]
+    tail = x[-1:] if head.size + troughs.size == peaks.size else x[:0]
+    valleys = np.concatenate((head, troughs, tail))
+    left = _base_minima(heights, valleys)
+    right = _base_minima(heights[::-1], valleys[::-1])[::-1]
+    prominences = heights - np.maximum(left, right)
+    keep = prominence <= prominences
+    return peaks[keep], {"prominences": prominences[keep]}
 
-    return scipy_find_peaks(x, **kwargs)
+
+def _base_minima(heights: np.ndarray, valleys: np.ndarray) -> np.ndarray:
+    """Per peak, the lowest valley back to the nearest strictly higher peak on its left.
+
+    ``valleys[j]`` is the lowest sample between peak ``j - 1`` (the edge for
+    ``j = 0``) and peak ``j``.  Pointer jumping: every peak points at a peak
+    to its left, none higher than itself in between, and holds the lowest
+    valley in between; while the peak pointed at is no higher, the pointer
+    takes over that peak's pointer and valley.  Each round is one array
+    operation over the peaks still moving; a pointer doubles its reach per
+    round, or steps past a peak whose own pointer is final, so the rounds
+    never outnumber the peaks a sample-by-sample walk would pass.
+    """
+    size = heights.size
+    pointer = np.arange(-1, size - 1)  # -1: the edge
+    base = valleys[:size].copy()
+    ceiling = np.append(heights, np.inf)  # ceiling[-1]: the edge stops every walk
+    moving = np.flatnonzero(heights[:-1] <= heights[1:]) + 1
+    while moving.size:
+        target = pointer[moving]
+        base[moving] = np.minimum(base[moving], base[target])
+        target = pointer[target]
+        pointer[moving] = target
+        moving = moving[ceiling[target] <= heights[moving]]
+    return base
 
 
 def _candidates(trace, polarity, prominence_threshold, channel):
@@ -249,9 +314,10 @@ def _candidates(trace, polarity, prominence_threshold, channel):
     return indices, props["prominences"], oriented
 
 
-def _half_prominence_width(freq: np.ndarray, oriented: np.ndarray, index: int) -> float:
-    """Estimate a FWHM from the half-height crossings around one extremum."""
-    base = float(np.median(oriented))
+def _half_prominence_width(
+    freq: np.ndarray, oriented: np.ndarray, index: int, base: float
+) -> float:
+    """Estimate a FWHM from the half-height crossings around one extremum above ``base``."""
     half = base + 0.5 * (oriented[index] - base)
     left = index
     while left > 0 and oriented[left] > half:
@@ -440,7 +506,9 @@ def fit_lorentzian(
     if window_hz is None:
         oriented_full = sign * values
         index = int(np.argmin(np.abs(freq - center_hz)))
-        est_fwhm = _half_prominence_width(freq, oriented_full, index)
+        est_fwhm = _half_prominence_width(
+            freq, oriented_full, index, float(np.median(oriented_full))
+        )
         window_hz = (center_hz - window_fwhm_multiple * est_fwhm,
                      center_hz + window_fwhm_multiple * est_fwhm)
     lo, hi = float(window_hz[0]), float(window_hz[1])
@@ -472,7 +540,7 @@ def fit_lorentzian(
     oriented = sign * (y_win - base0 - slope0 * x)
     i_ext = int(np.argmax(oriented))
     amp0 = max(float(oriented[i_ext]), 1e-12)
-    width0 = _half_prominence_width(x, oriented, i_ext)
+    width0 = _half_prominence_width(x, oriented, i_ext, float(np.median(oriented)))
     width0 = min(max(width0, 2.0 / x.size), 1.0)
     p0 = [float(x[i_ext]), width0, amp0, base0]
     if n_baseline == 2:
@@ -655,19 +723,22 @@ def analyze_spectrum(
             f"found {indices.size} candidate resonances; need >= 2 for spacing"
         )
     freq = trace.frequency_hz
+    base = float(np.median(oriented))
     widths = np.array(
-        [_half_prominence_width(freq, oriented, int(i)) for i in indices], dtype=float
+        [_half_prominence_width(freq, oriented, int(i), base) for i in indices], dtype=float
     )
-    order = np.argsort(prominences)[::-1]
+    # Greedy by prominence: a candidate is kept unless its window overlaps
+    # the window of one kept before it.
+    centers = freq[indices]
+    halves = window_fwhm_multiple * widths
+    kept_centers = np.empty(indices.size)
+    kept_halves = np.empty(indices.size)
     kept: list[int] = []
-    for rank in order:
-        center = freq[indices[rank]]
-        half = window_fwhm_multiple * widths[rank]
-        overlap = any(
-            abs(center - freq[indices[other]]) < half + window_fwhm_multiple * widths[other]
-            for other in kept
-        )
-        if not overlap:
+    for rank in np.argsort(prominences)[::-1]:
+        n = len(kept)
+        if not np.any(np.abs(centers[rank] - kept_centers[:n]) < halves[rank] + kept_halves[:n]):
+            kept_centers[n] = centers[rank]
+            kept_halves[n] = halves[rank]
             kept.append(int(rank))
     kept.sort(key=lambda rank: freq[indices[rank]])
 

@@ -1,5 +1,7 @@
 """Resonance detection and Lorentzian fitting, cross-checked against scipy."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +63,55 @@ def make_cavity_trace(t1=0.000867, t2=0.000867, alpha_int=0.0031, length_mm=27.0
     half = 0.5 * span_fsr * model.fsr_hz
     freq = np.linspace(-half, half, samples)
     return model, cavity_spectrum(model, freq)
+
+
+def with_noise(trace, noise, seed=5):
+    """``trace`` with seeded Gaussian noise added to its transmission, clipped to [0, 1]."""
+    rng = np.random.default_rng(seed)
+    values = trace.transmission + rng.normal(scale=noise, size=trace.transmission.size)
+    return dataclasses.replace(trace, transmission=np.clip(values, 0.0, 1.0))
+
+
+class TestFindPeaks:
+    @staticmethod
+    def cases():
+        """``(x, prominence)`` pairs over edge cases and seeded random arrays."""
+        rng = np.random.default_rng(18)
+        arrays = [np.array(values, dtype=float)
+                  for n in range(4) for values in itertools.product((0, 1, 2), repeat=n)]
+        arrays += [np.array(values, dtype=float) for values in (
+            [3.0] * 9,  # flat
+            np.arange(12), np.arange(12)[::-1], np.cumsum(rng.random(50)),  # monotone
+            [2, 2, 1, 3, 3, 3, 0, 1, 1],  # plateaus at both edges and inside
+            [0, 1, 1, 1, 0], [0, 1, 1, 0, 2, 2, 2, 2, 0], [1, 1, 0, 2, 2],
+            [0, 2, 0, 2, 0, 2, 0], [0, 2, 1, 2, 0], [0, 3, 1, 3, 1, 3, 2, 5, 0],  # equal peaks
+        )]
+        arrays += [rng.integers(0, levels, size).astype(float)  # ties
+                   for levels in (2, 3, 5) for size in (5, 40, 400)]
+        arrays += [rng.normal(size=size) for size in (5, 40, 400, 4000)]
+        for x in arrays:
+            for prominence in (0.0, 0.5, 1.0, 2.5):
+                yield x, prominence
+
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.signal import find_peaks as scipy_find_peaks
+
+        for x, prominence in self.cases():
+            indices, props = fitting.find_peaks(x, prominence=prominence)
+            expected, expected_props = scipy_find_peaks(x, prominence=prominence)
+            assert np.array_equal(indices, expected), (x, prominence)
+            assert np.array_equal(props["prominences"], expected_props["prominences"])
+
+    def test_matches_scipy_on_a_noisy_cavity_spectrum(self):
+        from scipy.signal import find_peaks as scipy_find_peaks
+
+        values = with_noise(make_cavity_trace()[1], 0.01).transmission
+        for prominence in (0.0, 0.1 * float(np.ptp(values))):
+            indices, props = fitting.find_peaks(values, prominence=prominence)
+            expected, expected_props = scipy_find_peaks(values, prominence=prominence)
+            assert indices.size > 1000
+            assert np.array_equal(indices, expected)
+            assert np.array_equal(props["prominences"], expected_props["prominences"])
 
 
 class TestDetectPeaks:
@@ -320,3 +371,45 @@ class TestAnalyzeSpectrum:
         report = analyze_spectrum(trace)
         total = math.hypot(report.finesse_sigma_from_fsr, report.finesse_sigma_from_fwhm)
         assert total == pytest.approx(report.finesse.sigma, rel=1e-6)
+
+    def test_overlap_prune_matches_pairwise_reference(self, monkeypatch):
+        # The fit windows analyze_spectrum asks for, against the windows kept
+        # by a pairwise check of every candidate against every kept one.
+        _, clean = make_cavity_trace(t1=0.004, t2=0.008, alpha_int=0.008)
+        trace = with_noise(clean, 0.02)
+        multiple = 5.0
+        indices, prominences, oriented = fitting._candidates(
+            trace, "peak", 0.1, "transmission")
+        assert indices.size > 300
+        freq = trace.frequency_hz
+        base = float(np.median(oriented))
+        widths = [fitting._half_prominence_width(freq, oriented, int(i), base) for i in indices]
+        kept = []
+        for rank in np.argsort(prominences)[::-1]:
+            center = freq[indices[rank]]
+            half = multiple * widths[rank]
+            if not any(abs(center - freq[indices[other]]) < half + multiple * widths[other]
+                       for other in kept):
+                kept.append(int(rank))
+        kept.sort(key=lambda rank: freq[indices[rank]])
+        expected = []
+        for rank in kept:
+            center = float(freq[indices[rank]])
+            expected.append((center, (center - multiple * widths[rank],
+                                      center + multiple * widths[rank])))
+
+        windows = []
+
+        class Stop(Exception):
+            pass
+
+        def stop(fits):
+            raise Stop
+
+        monkeypatch.setattr(fitting, "fit_lorentzian",
+                            lambda trace, center, **kw: windows.append((center, kw["window_hz"])))
+        monkeypatch.setattr(fitting, "estimate_fsr", stop)
+        with pytest.raises(Stop):
+            analyze_spectrum(trace, window_fwhm_multiple=multiple)
+        assert len(expected) > 3
+        assert windows == expected
