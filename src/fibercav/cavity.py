@@ -187,8 +187,16 @@ def cavity_spectrum(model: CavityModel, frequency_hz) -> SpectrumTrace:
     SpectrumTrace
         With ``resolution_warning`` set when the grid step resolves the
         expected linewidth with fewer than five samples.
+
+    Raises
+    ------
+    DomainError
+        For a grid of fewer than two points, with details ``{"samples"}``.
     """
     freq = np.atleast_1d(np.asarray(frequency_hz, dtype=float))
+    if freq.size < 2:
+        raise DomainError(f"a spectrum grid needs at least two points, got {freq.size}",
+                          samples=freq.size)
     r1 = math.sqrt(model.mirror_1.peak_reflectivity)
     r2 = math.sqrt(model.mirror_2.peak_reflectivity)
     t1_sq = model.mirror_transmittance_1

@@ -87,18 +87,23 @@ def run_pipeline(
     ``out_dir`` (stem defaults to the subcommand name; pass
     ``args["stem"]`` to override, as batch mode does).  Arguments that
     are missing or ``None`` take the defaults of the verb's command-line
-    options.  Raises the module's error types on failure; their
-    ``exit_code`` attribute is the process exit status the CLI maps them
-    to.
+    options; a missing required option or positional argument raises
+    :class:`ValidationError` with details ``{"subcommand", "missing"}``.
+    Raises the module's error types on failure; their ``exit_code``
+    attribute is the process exit status the CLI maps them to.
     """
     verb = _VERBS.get(subcommand)
     if verb is None:
         raise ValidationError(f"unknown subcommand {subcommand!r}; known: {tuple(_VERBS)}")
+    args = {**verb.defaults, **{k: v for k, v in args.items() if v is not None}}
+    missing = [name for name in verb.required if name not in args]
+    if missing:
+        raise ValidationError(f"{subcommand} needs {', '.join(missing)}",
+                              subcommand=subcommand, missing=missing)
     if config is None:
         config = ToolConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    args = {**verb.defaults, **{k: v for k, v in args.items() if v is not None}}
     inputs, results, artifacts = verb.handler(args, config, out)
     report_path = out / f"{args['stem']}_report.json"
     report_path.write_text(
@@ -121,8 +126,10 @@ class _Verb:
 
     The defaults of the options in ``params`` are also the defaults
     :func:`run_pipeline` fills in; ``None`` means "derive from the config
-    or another argument".  ``role`` is the ``inputs`` key the handler
-    writes, by which ``report`` knows the verb's records.
+    or another argument".  Required options and positional arguments have
+    no default, so :func:`run_pipeline` needs them.  ``role`` is the
+    ``inputs`` key the handler writes, by which ``report`` knows the
+    verb's records.
     """
 
     name: str
@@ -136,8 +143,13 @@ class _Verb:
 
     @property
     def defaults(self) -> dict:
-        options = {p.name: p.default for p in self.params if isinstance(p, click.Option)}
+        options = {p.name: p.default for p in self.params
+                   if isinstance(p, click.Option) and not p.required}
         return {"stem": self.name, **options, **self.library_defaults}
+
+    @property
+    def required(self) -> tuple:
+        return tuple(p.name for p in self.params if p.required or isinstance(p, click.Argument))
 
 
 # ----------------------------------------------------------------------

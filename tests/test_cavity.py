@@ -110,6 +110,12 @@ class TestCavitySpectrum:
         assert trace.transmission[1] == pytest.approx(t_res, rel=5e-3)
         assert trace.reflection[1] == pytest.approx(r_res_1, rel=5e-3)
 
+    @pytest.mark.parametrize("grid", [[0.0], [], 0.0], ids=["one-point", "empty", "scalar"])
+    def test_short_grid_is_a_domain_error(self, grid):
+        with pytest.raises(DomainError) as info:
+            cavity_spectrum(make_model(), grid)
+        assert info.value.details == {"samples": np.asarray(grid).size}
+
     def test_resolution_warning_on_coarse_grid(self):
         model = make_model()
         coarse = np.linspace(-model.fsr_hz, model.fsr_hz, 101)

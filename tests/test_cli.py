@@ -14,7 +14,8 @@ from click.testing import CliRunner
 
 import fibercav
 from fibercav.cavity import parse_spectrum_csv
-from fibercav.cli import main
+from fibercav.cli import main, run_pipeline
+from fibercav.errors import ValidationError
 from fibercav.pulling import synthesize_pull_trace, write_pull_trace
 from fibercav.records import load_run_record
 
@@ -453,6 +454,32 @@ def test_explicit_zero_is_rejected_not_defaulted(runner, tmp_path, args, error):
     payload = json.loads(result.stderr.strip().splitlines()[-1])
     assert payload["error"] == error
     assert not (out / f"{args[0]}_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, args, missing",
+    [
+        ("synth", {"t1": 0.000867}, ["t2", "length_mm"]),
+        ("fit", {"channel": "reflection"}, ["spectrum"]),
+        ("budget", {"finesse": 2000.0}, ["r1", "r2"]),
+        ("pull", {}, ["trace"]),
+        ("modes", {"wavelength_nm": 1550.0}, ["diameter_nm"]),
+        ("report", {}, ["records"]),
+    ],
+    ids=["synth", "fit", "budget", "pull", "modes", "report"],
+)
+def test_run_pipeline_names_missing_arguments(tmp_path, verb, args, missing):
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError) as info:
+        run_pipeline(verb, args, out_dir=out)
+    assert info.value.details == {"subcommand": verb, "missing": missing}
+    assert not out.exists()
+
+
+def test_run_pipeline_coop_needs_a_finesse_or_the_reference(tmp_path):
+    # coop has no required argument; its handler asks for one of the two
+    with pytest.raises(ValidationError, match="provide --finesse or --reference"):
+        run_pipeline("coop", {}, out_dir=tmp_path)
 
 
 class TestConfigIntegration:
